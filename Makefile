@@ -11,14 +11,19 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Mirrors the CI lint job; degrades gracefully when the pinned tools
-# (pip install -e ".[dev]") are not installed locally.
+# Runs the CI lint job's ruff and mypy commands (same paths); degrades
+# gracefully when the pinned tools (pip install -e ".[dev]") are not
+# installed locally.
+LINT_PKGS = src/repro/core src/repro/experiments src/repro/obs \
+	src/repro/runtime src/repro/service
+
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src/repro/obs src/repro/runtime tools/check_bench.py; \
+		ruff check $(LINT_PKGS) \
+			tools/check_bench.py tools/smoke_data_plane.py; \
 	else echo "ruff not installed; skipping (pip install -e '.[dev]')"; fi
 	@if command -v mypy >/dev/null 2>&1; then \
-		mypy src/repro/obs src/repro/runtime; \
+		mypy $(LINT_PKGS); \
 	else echo "mypy not installed; skipping (pip install -e '.[dev]')"; fi
 
 test-report:
@@ -35,10 +40,12 @@ bench-report:
 bench-check:
 	$(PYTHON) -m pytest benchmarks/test_stage1_kernels.py \
 		benchmarks/test_sim_kernels.py benchmarks/test_comms_bench.py \
-		benchmarks/test_service_soak.py -x -q -s
+		benchmarks/test_multi_study.py benchmarks/test_service_soak.py \
+		-x -q -s
 	$(PYTHON) tools/check_bench.py benchmarks/results/BENCH_stage1.json \
 		benchmarks/results/BENCH_pipeline.json \
 		benchmarks/results/BENCH_comms.json \
+		benchmarks/results/BENCH_multi.json \
 		benchmarks/results/BENCH_service.json
 
 # Accept the current BENCH_*.json outputs as the new baselines.  Run
@@ -49,6 +56,7 @@ bench-baseline:
 	cp benchmarks/results/BENCH_stage1.json \
 		benchmarks/results/BENCH_pipeline.json \
 		benchmarks/results/BENCH_comms.json \
+		benchmarks/results/BENCH_multi.json \
 		benchmarks/results/BENCH_service.json \
 		benchmarks/results/baselines/
 

@@ -49,6 +49,7 @@ from repro.geometry.ransac import (
     _reference_ransac_rigid_2d,
     ransac_rigid_2d,
 )
+from repro.geometry.se2 import SE2
 
 # The paper-scale configuration the acceptance bar is measured on:
 # 2 * 76.8 m / 0.48 m per cell = 320 x 320 pixels.
@@ -214,6 +215,30 @@ def _wave1_detect_fast(image, config=None):
     return Keypoints(xy=xy, scores=scores[order])
 
 
+def _ransac_kernel(src, dst, **kwargs):
+    """A/B-time chunked RANSAC against the sequential loop on one
+    correspondence set; the result and the generator's stream position
+    afterwards must be identical."""
+    def run(ransac):
+        rng = np.random.default_rng(_RNG_SEED)
+        return ransac(src, dst, rng=rng, **kwargs), rng
+
+    before, after = _ab_best(lambda: run(_reference_ransac_rigid_2d),
+                             lambda: run(ransac_rigid_2d))
+    ref_r, ref_rng = run(_reference_ransac_rigid_2d)
+    new_r, new_rng = run(ransac_rigid_2d)
+    assert new_r.num_inliers == ref_r.num_inliers
+    assert new_r.iterations == ref_r.iterations
+    assert np.array_equal(new_r.inlier_mask, ref_r.inlier_mask)
+    assert new_r.transform.theta == ref_r.transform.theta
+    assert new_r.transform.tx == ref_r.transform.tx
+    assert new_r.transform.ty == ref_r.transform.ty
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    entry = {"before_ms": round(before, 3), "after_ms": round(after, 3),
+             "speedup": round(before / after, 2), "num_matches": int(len(src))}
+    return entry, new_r
+
+
 @pytest.fixture(scope="module")
 def bench_inputs():
     """One realistic frame pair rendered at the 320 x 320 bench scale."""
@@ -307,28 +332,33 @@ def test_stage1_kernels_write_bench_trajectory(bench_inputs, results_dir,
     assert len(matches) >= 2
     kwargs = dict(threshold=config.bv_ransac.threshold_pixels,
                   max_iterations=config.bv_ransac.max_iterations)
-    before, after = _ab_best(
-        lambda: _reference_ransac_rigid_2d(
-            matches.src_xy, matches.dst_xy,
-            rng=np.random.default_rng(_RNG_SEED), **kwargs),
-        lambda: ransac_rigid_2d(
-            matches.src_xy, matches.dst_xy,
-            rng=np.random.default_rng(_RNG_SEED), **kwargs))
-    ref_r = _reference_ransac_rigid_2d(matches.src_xy, matches.dst_xy,
-                                       rng=np.random.default_rng(_RNG_SEED),
-                                       **kwargs)
-    new_r = ransac_rigid_2d(matches.src_xy, matches.dst_xy,
-                            rng=np.random.default_rng(_RNG_SEED), **kwargs)
-    assert new_r.num_inliers == ref_r.num_inliers
-    assert new_r.iterations == ref_r.iterations
-    assert np.array_equal(new_r.inlier_mask, ref_r.inlier_mask)
-    assert new_r.transform.theta == ref_r.transform.theta
-    assert new_r.transform.tx == ref_r.transform.tx
-    assert new_r.transform.ty == ref_r.transform.ty
-    report["kernels"]["ransac_rigid_2d"] = {
-        "before_ms": round(before, 3), "after_ms": round(after, 3),
-        "speedup": round(before / after, 2),
-        "num_matches": int(len(matches))}
+    report["kernels"]["ransac_rigid_2d"], _ = _ransac_kernel(
+        matches.src_xy, matches.dst_xy, **kwargs)
+
+    # Kernel 3b: a low-consensus long run (20 inliers among 300 matches
+    # over the BV image), where minimal-sample drawing dominates and the
+    # adaptive rule runs more than a thousand trials.
+    sampler = np.random.default_rng(_RNG_SEED)
+    src = sampler.uniform(0, ego_bv.size, (300, 2))
+    dst = sampler.uniform(0, ego_bv.size, (300, 2))
+    dst[:20] = SE2(0.3, 12.0, -7.0).apply(src[:20])
+    entry, result = _ransac_kernel(src, dst, **kwargs)
+    report["kernels"]["ransac_low_consensus"] = {
+        **entry, "iterations": result.iterations,
+        "num_inliers": result.num_inliers}
+
+    # Kernel 3c: a stage-2-sized run (6 boxes' corners, one box wrong)
+    # that stops after a few trials, far inside the first chunk.
+    src = sampler.uniform(-40, 40, (24, 2))
+    dst = SE2(0.05, 0.8, -0.4).apply(src) + sampler.normal(0, 0.05, (24, 2))
+    dst[:4] += 3.0
+    stage2 = config.box_align
+    entry, result = _ransac_kernel(
+        src, dst, threshold=stage2.threshold_meters,
+        max_iterations=stage2.max_iterations, min_inliers=4)
+    report["kernels"]["ransac_box_early_stop"] = {
+        **entry, "iterations": result.iterations,
+        "num_inliers": result.num_inliers}
 
     # ------------------------------------------------------------------
     # Kernel 4: FAST keypoints.  The "before" is the first-wave

@@ -7,23 +7,30 @@ inlier count.  The paper uses the inlier count as the confidence signal
 that drives the success criterion (``Inliers_bv > 25 and Inliers_box > 6``)
 and the Fig. 9 analysis, so the result type carries full diagnostics.
 
-Hypotheses are evaluated in chunks: minimal samples are still drawn one
-``rng.choice`` call at a time (the call sequence *is* the determinism
-contract — the same generator feeds stage 2 downstream, so consuming the
-stream differently would change pipeline outputs), but the closed-form
-2-point solve and the residual test run as ``(chunk, N)`` array ops over a
-whole chunk at once.  The adaptive stopping rule is replayed sequentially
-over the chunk's inlier counts; when it fires mid-chunk, the generator
-state is rewound to the chunk start and exactly the consumed draws are
-re-taken, so the stream position on exit matches the sequential loop
-draw-for-draw.  The pre-vectorization loop is preserved as
-:func:`_reference_ransac_rigid_2d` for the equivalence tests and the
-stage-1 micro-benchmark.
+Hypotheses are evaluated in chunks.  The minimal samples of a chunk are
+drawn in one vectorised pass (:func:`_draw_pairs`) that reproduces a
+sequence of ``rng.choice(n, 2, replace=False)`` calls exactly — the same
+index pairs and the same generator state afterwards.  That draw sequence
+is the determinism contract: the same generator feeds stage 2
+downstream, so consuming the stream differently would change pipeline
+outputs.  Where the bulk pass cannot guarantee this (another bit
+generator, ``n == 2``, a Lemire rejection in the chunk, or a numpy whose
+``choice`` fails the one-time probe) it falls back to the per-call loop;
+DESIGN.md ("RANSAC sampling contract") lists the numpy internals it
+mirrors.  The closed-form 2-point solve and the residual test run as
+``(chunk, N)`` array ops over the chunk.  The adaptive stopping rule is
+replayed sequentially over the chunk's inlier counts; when it fires
+mid-chunk, the generator state is rewound to the chunk start and exactly
+the consumed draws are re-taken, so the stream position on exit matches
+the sequential loop draw-for-draw.  The pre-vectorization loop is
+preserved as :func:`_reference_ransac_rigid_2d` for the equivalence tests
+and the stage-1 micro-benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +46,103 @@ __all__ = ["RansacResult", "ransac_rigid_2d"]
 # per-chunk fixed cost on long adaptive runs (128 measures fastest on
 # the 320-pixel end-to-end path; 64 and 256 are both a few ms slower).
 _HYPOTHESIS_CHUNK = 128
+
+
+# Largest population the bulk sampler handles: numpy's bounded draw on
+# bound ``n - 1`` is a Lemire 32-bit draw only while that bound is below
+# 2**32 - 1 (at 2**32 - 1 it takes a raw 32-bit word, above it 64 bits).
+_BULK_MAX_N = 2 ** 32 - 1
+
+
+def _choice_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` sequential ``rng.choice(n, 2, replace=False)`` calls."""
+    idx = np.empty((count, 2), dtype=np.intp)
+    for t in range(count):
+        idx[t] = rng.choice(n, size=2, replace=False)
+    return idx
+
+
+def _bulk_pairs(bitgen: np.random.PCG64, n: int,
+                count: int) -> np.ndarray | None:
+    """Vectorised twin of :func:`_choice_pairs` for PCG64 and ``3 <= n <
+    2**32 - 1``.
+
+    numpy's ``choice(n, 2, replace=False)`` runs Floyd's algorithm — a
+    Lemire-bounded draw on ``n - 2``, then one on ``n - 1`` that becomes
+    ``n - 1`` if it repeats the first — and then a two-element shuffle
+    (a Lemire draw on ``1``; ``0`` swaps the pair).  Each draw takes one
+    32-bit word from PCG64's buffered stream: the low half of a 64-bit
+    output first, the high half on the next draw.  Three words per
+    trial are therefore taken from ``random_raw`` at once, and the
+    32-bit buffer is set to what the sequential calls would have left.
+
+    Returns None, with the generator state untouched, when any word of
+    the chunk would hit a Lemire rejection (which re-draws and shifts
+    the stream); the caller then takes the per-call path.
+    """
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    num_raw = (3 * count - buffered + 1) // 2
+    raw = bitgen.random_raw(num_raw)
+    words = np.empty(2 * num_raw + buffered, dtype=np.uint64)
+    if buffered:
+        words[0] = state["uinteger"]
+    words[buffered::2] = raw & 0xFFFFFFFF
+    words[buffered + 1::2] = raw >> 32
+    bound_excl = np.array([n - 1, n, 2], dtype=np.uint64)
+    scaled = words[:3 * count].reshape(count, 3) * bound_excl
+    # Lemire rejects while the low half is below 2**32 mod the bound.
+    if ((scaled & 0xFFFFFFFF) < (2 ** 32) % bound_excl).any():
+        bitgen.state = state
+        return None
+    draws = (scaled >> 32).astype(np.intp)
+    first = draws[:, 0]
+    second = np.where(draws[:, 1] == first, n - 1, draws[:, 1])
+    swap = draws[:, 2] == 0
+    pairs = np.empty((count, 2), dtype=np.intp)
+    pairs[:, 0] = np.where(swap, second, first)
+    pairs[:, 1] = np.where(swap, first, second)
+    # random_raw leaves the 32-bit buffer alone; place it as the
+    # sequential draws would: the last output's high half, pending iff
+    # one word of it is left over.
+    after = bitgen.state
+    after["has_uint32"] = 2 * num_raw + buffered - 3 * count
+    after["uinteger"] = int(raw[-1] >> 32)
+    bitgen.state = after
+    return pairs
+
+
+@lru_cache(maxsize=1)
+def _bulk_matches_numpy() -> bool:
+    """One-time probe: does :func:`_bulk_pairs` reproduce this numpy's
+    ``Generator.choice`` (pairs and final state) on a fixed seed?  A numpy
+    whose ``choice`` consumes the stream differently fails it, and every
+    draw then takes the per-call path."""
+    for n, count, buffered in ((3, 5, 0), (62, 129, 1), (10001, 7, 0)):
+        bulk = np.random.Generator(np.random.PCG64(20240501))
+        loop = np.random.Generator(np.random.PCG64(20240501))
+        if buffered:
+            bulk.integers(0, 2, dtype=np.uint32)
+            loop.integers(0, 2, dtype=np.uint32)
+        pairs = _bulk_pairs(bulk.bit_generator, n, count)
+        if (pairs is None
+                or not np.array_equal(pairs, _choice_pairs(loop, n, count))
+                or bulk.bit_generator.state != loop.bit_generator.state):
+            return False
+    return True
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``(count, 2)`` minimal samples, identical to ``count`` sequential
+    ``rng.choice(n, 2, replace=False)`` calls and leaving ``rng`` where
+    they would: bulk for PCG64 where exact, per call otherwise."""
+    bitgen = rng.bit_generator
+    if (type(bitgen) is np.random.PCG64 and 3 <= n < _BULK_MAX_N
+            and _bulk_matches_numpy()):
+        pairs = _bulk_pairs(bitgen, n, count)
+        if pairs is not None:
+            return pairs
+    return _choice_pairs(rng, n, count)
 
 
 @dataclass(frozen=True)
@@ -201,11 +305,8 @@ def ransac_rigid_2d(src: np.ndarray, dst: np.ndarray,
     while iteration < min(trials_needed, max_iterations):
         chunk = min(_HYPOTHESIS_CHUNK,
                     min(trials_needed, max_iterations) - iteration)
-        # One choice() call per trial: the draw sequence is the contract.
         state = rng.bit_generator.state
-        idx = np.empty((chunk, sample_size), dtype=np.intp)
-        for t in range(chunk):
-            idx[t] = rng.choice(n, size=sample_size, replace=False)
+        idx = _draw_pairs(rng, n, chunk)
 
         degenerate, masks, counts = _solve_and_score(src, dst, idx, threshold)
 
@@ -233,8 +334,7 @@ def ransac_rigid_2d(src: np.ndarray, dst: np.ndarray,
             # Stopping fired mid-chunk: rewind and re-take exactly the
             # draws the sequential loop would have consumed.
             rng.bit_generator.state = state
-            for _ in range(consumed):
-                rng.choice(n, size=sample_size, replace=False)
+            _draw_pairs(rng, n, consumed)
             break
 
     if best_mask is None or best_count < min_inliers:

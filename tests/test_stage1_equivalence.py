@@ -275,9 +275,10 @@ def _correspondences(n=120, outlier_fraction=0.35, seed=5):
 
 
 class TestRansacEquivalence:
-    def assert_identical_runs(self, src, dst, seed, **kwargs):
-        rng_new = np.random.default_rng(seed)
-        rng_ref = np.random.default_rng(seed)
+    def assert_identical_runs(self, src, dst, seed,
+                              make_rng=np.random.default_rng, **kwargs):
+        rng_new = make_rng(seed)
+        rng_ref = make_rng(seed)
         new = ransac_rigid_2d(src, dst, rng=rng_new, **kwargs)
         ref = _reference_ransac_rigid_2d(src, dst, rng=rng_ref, **kwargs)
         assert new.success == ref.success
@@ -324,6 +325,27 @@ class TestRansacEquivalence:
         would."""
         src, dst = _correspondences(n=40, outlier_fraction=0.0, seed=2)
         self.assert_identical_runs(src, dst, 2, threshold=1.0)
+
+    def test_stage2_sized_stop_on_first_chunk(self):
+        """Box-corner scale (n=10, the stage-2 budget of 500): stops
+        after a few trials, far inside the first chunk."""
+        src, dst = _correspondences(n=10, outlier_fraction=0.2, seed=4)
+        result = ransac_rigid_2d(src, dst, threshold=0.6,
+                                 max_iterations=500, min_inliers=4,
+                                 rng=np.random.default_rng(4))
+        assert result.iterations < 128
+        self.assert_identical_runs(src, dst, 4, threshold=0.6,
+                                   max_iterations=500, min_inliers=4)
+
+    @pytest.mark.parametrize("bit_generator",
+                             [np.random.MT19937, np.random.Philox])
+    def test_non_pcg64_generator(self, bit_generator):
+        """Other bit generators sample per call; results and stream
+        position must still match the sequential loop."""
+        src, dst = _correspondences(n=60, outlier_fraction=0.6, seed=8)
+        self.assert_identical_runs(
+            src, dst, 8, threshold=0.5,
+            make_rng=lambda seed: np.random.Generator(bit_generator(seed)))
 
 
 class TestMatchingBlockwise:
