@@ -20,7 +20,7 @@ from repro.core.degradation import (
     FailureReason,
     StageDiagnostics,
 )
-from repro.core.multi import MultiAlignment, MultiVehicleAligner, PairwiseEdge
+from repro.core.multi import MultiAlignment, MultiVehicleAligner
 from repro.core.pipeline import BBAlign
 from repro.core.result import PoseRecoveryResult
 from repro.core.temporal import PoseTracker, TrackedPose, TrackerConfig
@@ -42,7 +42,6 @@ __all__ = [
     "StageDiagnostics",
     "MultiAlignment",
     "MultiVehicleAligner",
-    "PairwiseEdge",
     "PoseRecoveryResult",
     "PoseTracker",
     "SuccessCriteria",

@@ -50,11 +50,7 @@ from repro.core.result import PoseRecoveryResult
 from repro.geometry.se2 import SE2
 from repro.runtime.cache import FeatureCache, extraction_fingerprint
 
-__all__ = ["PairwiseEdge", "MultiAlignment", "MultiVehicleAligner"]
-
-#: A successful pairwise recovery *is* a pose-graph edge; the historical
-#: name remains importable.
-PairwiseEdge = PoseGraphEdge
+__all__ = ["MultiAlignment", "MultiVehicleAligner"]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ and two detection lists and needs no prior pose and no training.
 **One entry point.**  :meth:`BBAlign.recover` dispatches on its inputs:
 raw clouds, precomputed :class:`BVFeatures`, wire payloads (legacy
 ``V2V1`` frames or any :class:`repro.comms.tiers.Tier`), deliveries, and
-decoded messages all go through the same two-stage core.  The historical
-``recover_from_features`` / ``recover_from_message`` names remain as
-deprecated wrappers.
+decoded messages all go through the same two-stage core.
 
 **Graceful degradation.**  Field inputs are hostile — dropped packets,
 corrupt buffers, NaN-polluted scans, featureless scenes — so
@@ -37,7 +35,6 @@ odometry-aware filter for streamed deployments.
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import replace
 from typing import Callable, ContextManager
 
@@ -170,12 +167,12 @@ class BBAlign:
 
         This is the memoization boundary the runtime layer caches:
         extraction is a pure function of (cloud, configuration, prior),
-        consumes no randomness, and dominates per-pair cost.  Pair it
-        with :meth:`recover_from_features` to reuse features across
-        sweeps.  The optional ``timer`` records the per-kernel
-        ``bv_extract/*`` detail stages; the optional ``prior`` (coarse
-        (x, y) translation of the partner sensor, meters) enables
-        overlap-ROI culling when ``config.roi.enabled``.
+        consumes no randomness, and dominates per-pair cost; pass the
+        result to :meth:`recover` to reuse features across sweeps.  The
+        optional ``timer`` records the per-kernel ``bv_extract/*``
+        detail stages; the optional ``prior`` (coarse (x, y) translation
+        of the partner sensor, meters) enables overlap-ROI culling when
+        ``config.roi.enabled``.
         """
         return self.bv_matcher.extract_from_cloud(cloud, timer=timer,
                                                   prior=prior)
@@ -625,40 +622,6 @@ class BBAlign:
             degradation=DegradationLevel.BOXES_ONLY,
             diagnostics=diagnostics,
         )
-
-    # ------------------------------------------------------------------
-    # Deprecated entry points (kept as thin wrappers around recover()).
-    # ------------------------------------------------------------------
-    def recover_from_features(self, ego_features: BVFeatures,
-                              other_features: BVFeatures,
-                              ego_boxes, other_boxes,
-                              rng: np.random.Generator | int | None = None,
-                              timer: StageTimer | None = None,
-                              ) -> PoseRecoveryResult:
-        """Deprecated: :meth:`recover` accepts features directly."""
-        warnings.warn(
-            "BBAlign.recover_from_features() is deprecated; recover() "
-            "dispatches on its inputs and accepts BVFeatures directly",
-            DeprecationWarning, stacklevel=2)
-        return self.recover(ego_features, other_features, ego_boxes,
-                            other_boxes, rng=rng, timer=timer)
-
-    def recover_from_message(self, ego_cloud: PointCloud,
-                             payload: bytes | None,
-                             ego_boxes,
-                             rng: np.random.Generator | int | None = None,
-                             timer: StageTimer | None = None,
-                             stale: bool = False,
-                             ego_features: BVFeatures | None = None,
-                             ) -> PoseRecoveryResult:
-        """Deprecated: :meth:`recover` accepts wire payloads directly."""
-        warnings.warn(
-            "BBAlign.recover_from_message() is deprecated; recover() "
-            "dispatches on its inputs and accepts wire payloads directly",
-            DeprecationWarning, stacklevel=2)
-        ego = ego_features if ego_features is not None else ego_cloud
-        return self.recover(ego, payload, ego_boxes, rng=rng, timer=timer,
-                            stale=stale)
 
     # ------------------------------------------------------------------
     @staticmethod

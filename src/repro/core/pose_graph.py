@@ -30,7 +30,8 @@ redundancy this module exploits in three steps:
 
 All inputs are :class:`~repro.geometry.se2.SE2`; edges are directed
 ``target <- source`` (``transform`` maps source-frame coordinates into
-the target frame), matching :class:`repro.core.multi.PairwiseEdge`.
+the target frame), as :class:`repro.core.multi.MultiVehicleAligner`
+measures them.
 """
 
 from __future__ import annotations

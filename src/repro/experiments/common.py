@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,7 +387,6 @@ def run_pose_recovery_sweep(
         single pathological pair.
     """
     from repro.runtime.engine import (  # local: runtime imports us back
-        PoolUnavailableError,
         resolve_workers,
         run_sweep_parallel,
     )
@@ -397,17 +395,11 @@ def run_pose_recovery_sweep(
     n_workers = resolve_workers(workers)
     if n_workers > 1 and isinstance(dataset, V2VDatasetSim) \
             and len(dataset) > 1:
-        try:
-            return run_sweep_parallel(
-                dataset.config, num_pairs=len(dataset), config=config,
-                detector_profile=detector_profile,
-                include_vips=include_vips, vips_config=vips_config,
-                seed=seed, workers=n_workers, timings=timings)
-        except PoolUnavailableError as error:
-            warnings.warn(
-                f"parallel sweep unavailable ({error}); "
-                "falling back to in-process serial execution",
-                RuntimeWarning, stacklevel=2)
+        return run_sweep_parallel(
+            dataset.config, num_pairs=len(dataset), config=config,
+            detector_profile=detector_profile, include_vips=include_vips,
+            vips_config=vips_config, seed=seed, workers=n_workers,
+            timings=timings)
     return _run_sweep_serial(dataset, config, detector_profile,
                              include_vips, vips_config, seed,
                              _resolve_cache(cache), timings)
@@ -435,8 +427,8 @@ def _run_sweep_serial(dataset, config, detector_profile, include_vips,
 
     # The sweep's registry becomes the ambient instrument store for the
     # duration, so pipeline/degradation counters recorded deep inside
-    # recover_from_features land next to the stage timings they explain
-    # (pool workers get the same treatment from the engine's chunk-local
+    # BBAlign.recover land next to the stage timings they explain (pool
+    # workers get the same treatment from the engine's chunk-local
     # registry).
     registry_cm = (use_registry(timings.registry)
                    if timings is not None else contextlib.nullcontext())

@@ -228,8 +228,7 @@ def run_multi_study(num_pairs: int = 4, seed: int = 2024,
     payloads = [_ScenePayload(seed, s, num_vehicles, spacing, density,
                               degradation)
                 for s in range(num_scenes)]
-    outcomes = run_tasks_parallel(_evaluate_scene, payloads,
-                                  workers=workers, seed=seed)
+    outcomes = run_tasks_parallel(_evaluate_scene, payloads, workers=workers)
     return _aggregate(outcomes, num_scenes, num_vehicles, density,
                       degradation)
 
@@ -297,8 +296,7 @@ def run_multi_grid(num_pairs: int = 3, seed: int = 2024, *,
     payloads = [_ScenePayload(seed, s, k, spacing, density, degradation)
                 for k, density, degradation in cell_params
                 for s in range(scenes)]
-    outcomes = run_tasks_parallel(_evaluate_scene, payloads,
-                                  workers=workers, seed=seed)
+    outcomes = run_tasks_parallel(_evaluate_scene, payloads, workers=workers)
     cells = []
     for index, (k, density, degradation) in enumerate(cell_params):
         chunk = outcomes[index * scenes:(index + 1) * scenes]

@@ -19,17 +19,12 @@ Registering an experiment::
     ))
 
 Runners follow the uniform calling convention
-``run_*(num_pairs, seed, *, workers)``.  :meth:`ExperimentSpec.run`
-shims legacy ``(num_pairs, seed)``-only runners (dropping ``workers``
-with a :class:`DeprecationWarning`) so third-party experiments written
-against the old convention keep working.
+``run_*(num_pairs, seed, *, workers)``.
 """
 
 from __future__ import annotations
 
 import importlib
-import inspect
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -100,34 +95,13 @@ class ExperimentSpec:
         """Invoke the runner under the uniform calling convention.
 
         ``extra`` carries experiment-specific keywords collected from
-        ``cli_option_dests``.  Legacy runners without a ``workers``
-        parameter are still called (minus ``workers``) with a
-        deprecation warning — the shim for experiments written before
-        the runtime engine existed.
+        ``cli_option_dests``.
         """
-        if _accepts_workers(self.runner):
-            return self.runner(num_pairs=num_pairs, seed=seed,
-                               workers=workers, **extra)
-        warnings.warn(
-            f"experiment {self.name!r}: runner {self.runner.__name__} uses "
-            "the legacy (num_pairs, seed) signature; add a keyword-only "
-            "'workers' parameter to adopt the uniform convention",
-            DeprecationWarning, stacklevel=2)
-        return self.runner(num_pairs=num_pairs, seed=seed, **extra)
+        return self.runner(num_pairs=num_pairs, seed=seed,
+                           workers=workers, **extra)
 
     def format(self, result: Any) -> str:
         return self.formatter(result)
-
-
-def _accepts_workers(runner: Callable) -> bool:
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    if "workers" in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in parameters.values())
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

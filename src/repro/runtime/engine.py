@@ -1,52 +1,58 @@
-"""Process-pool execution of the pose-recovery sweep.
+"""Process-pool execution: one fault-tolerant map, and the sweep on it.
 
-The sweep is embarrassingly parallel: every pair regenerates
-deterministically from ``(dataset config, index)`` and evaluates
-independently of every other pair.  The engine shards the index range
-into contiguous chunks, runs them on a :class:`ProcessPoolExecutor`, and
-reassembles results in index order — so a parallel sweep returns
-*exactly* the outcomes a serial sweep returns, regardless of which
-worker finished first.
+The pose-recovery sweep is embarrassingly parallel: every pair
+regenerates deterministically from ``(dataset config, index)`` and
+evaluates independently of every other pair.  So are the multi-vehicle
+study's scenes.  Both run on one fault-tolerant map: it shards the item
+list into contiguous chunks, runs them on a :class:`ProcessPoolExecutor`,
+and reassembles results in index order — so a parallel run returns
+*exactly* what a serial run returns, regardless of which worker
+finished first.  :func:`run_tasks_parallel` is the map over any
+picklable function; :func:`run_sweep_parallel` is the map over the
+sweep's per-pair function.
 
 Design notes:
 
-* **Chunking** amortizes task overhead (a chunk re-uses the worker's
-  dataset/aligner/detector state) while still giving the pool ~4 chunks
-  per worker to balance uneven pair costs.
-* **Worker state** is keyed by the task's configuration fingerprints and
-  rebuilt only when it changes, so consecutive sweeps over the same
-  dataset (multi-variant studies) pay construction once per process.
-* **The pool is kept alive** between sweeps: worker processes retain
+* **Chunking** amortizes task overhead while still giving the pool ~4
+  chunks per worker to balance uneven item costs.
+* **Worker state** (the sweep's dataset/aligner/detector) is keyed by
+  the configuration fingerprints and rebuilt only when they change, so
+  consecutive sweeps over the same dataset (multi-variant studies) pay
+  construction once per process.
+* **The pool is kept alive** between maps: worker processes retain
   their per-process :mod:`repro.runtime.cache` feature caches, which is
   what lets an ablation study's second variant skip BV re-extraction.
-* **Fault tolerance** is layered by blast radius.  A pair whose
-  evaluation *raises* becomes a ``PairErrorOutcome`` record inside the
-  worker — one degraded data point, the chunk continues.  A chunk whose
-  worker *dies* (``BrokenProcessPool``), *hangs* (``chunk_timeout``) or
-  otherwise fails wholesale is resubmitted once to a freshly restarted
-  pool — outstanding futures are cancelled and the broken pool is torn
-  down without waiting first — and, if it fails again, runs serially
+* **Fault tolerance** is layered by blast radius.  An item whose
+  evaluation *raises* becomes an error record in its slot — a
+  ``PairErrorOutcome`` for a sweep pair, a :class:`TaskError` otherwise
+  — and the chunk continues.  A chunk whose worker *dies*
+  (``BrokenProcessPool``), *hangs* (``chunk_timeout``) or otherwise
+  fails wholesale is resubmitted once to a freshly restarted pool —
+  outstanding futures are cancelled and the broken pool is torn down
+  without waiting first — and, if it fails again, runs serially
   in-process; a chunk that even the serial path cannot finish yields
-  one error record per pair.  No single pathological pair, worker or
-  chunk can take down a sweep.
-* **Telemetry** rides the chunk protocol.  Each worker records stage
-  seconds, pipeline counters and (when the parent traced the sweep)
-  span events into a chunk-local registry and returns a picklable
-  snapshot with the outcomes; the parent folds snapshots in *keyed by
+  one :class:`TaskError` per item.  No single pathological item, worker
+  or chunk can take down a map.
+* **Telemetry** rides the chunk protocol.  The chunk runner installs a
+  chunk-local :class:`~repro.runtime.timings.SweepTimings` as the
+  ambient timings and instrument store, so stage seconds and counters
+  recorded anywhere below it (and, when the parent traced the map, span
+  events nested under ``engine/chunk``) come home as a picklable
+  snapshot with the results.  The parent folds snapshots in *keyed by
   chunk* (:meth:`~repro.runtime.timings.SweepTimings.merge_chunk`), so
   the retry ladder can deliver a chunk's telemetry more than once
   without any stage being double-counted.  Retries, timeouts and serial
   fallbacks are themselves counted (``engine/*`` counters).
-* **Fallback**: anything that prevents pool execution entirely (no
-  process support, pool creation refused) still raises
-  :class:`PoolUnavailableError`; ``run_pose_recovery_sweep`` catches it
-  and falls back to in-process serial execution.
+* **Fallback**: a pool that cannot start at all (no process support,
+  pool creation refused) degrades the map to in-process execution of
+  the same chunk runner, with one ``RuntimeWarning``; callers never see
+  :class:`PoolUnavailableError`.
 * **Shared mechanics**: pool lifecycle (lazy start, restart, idempotent
   shutdown) lives in :class:`repro.runtime.pool.WorkerPool` and retry
-  *scheduling* in :class:`repro.runtime.retry.RetryPolicy` — both
-  shared with the always-on :mod:`repro.service`.  The engine's default
-  policy (:data:`repro.runtime.retry.ENGINE_DEFAULT`) reproduces the
-  historical ladder exactly: one immediate retry, then serial.
+  *scheduling* in :data:`repro.runtime.retry.ENGINE_DEFAULT` (one
+  immediate retry, then serial) — both shared with the always-on
+  :mod:`repro.service`, whose indexed batches run this module's sweep
+  chunks.
 """
 
 from __future__ import annotations
@@ -55,15 +61,15 @@ import atexit
 import contextlib
 import math
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import Callable
 
 from repro.baselines.vips import VipsConfig
 from repro.core.config import BBAlignConfig
 from repro.detection.simulated import COBEVT_PROFILE, DetectorProfile
-from repro.obs.metrics import use_registry
+from repro.obs.metrics import counter
 from repro.obs.spans import active_collector, collect_spans, span
 from repro.runtime.cache import (
     dataset_fingerprint,
@@ -76,8 +82,13 @@ from repro.runtime.pool import (
     WorkerPool,
     resolve_workers,
 )
-from repro.runtime.retry import ENGINE_DEFAULT, RetryPolicy
-from repro.runtime.timings import SweepTimings, stage
+from repro.runtime.retry import ENGINE_DEFAULT
+from repro.runtime.timings import (
+    SweepTimings,
+    active_timings,
+    stage,
+    use_timings,
+)
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 __all__ = ["PoolUnavailableError", "resolve_workers", "chunk_indices",
@@ -91,7 +102,7 @@ def chunk_indices(num_items: int, workers: int,
 
     The default size targets ~4 chunks per worker: large enough that
     per-task pool overhead is amortized, small enough that one slow
-    chunk cannot serialize the tail of the sweep.
+    chunk cannot serialize the tail of the map.
     """
     if num_items <= 0:
         return []
@@ -104,114 +115,95 @@ def chunk_indices(num_items: int, workers: int,
 
 
 @dataclass(frozen=True)
-class _ChunkTask:
-    """Everything a worker needs to evaluate one chunk of pair indices.
+class TaskError:
+    """Sentinel result for an item whose evaluation failed.
 
-    Only configuration travels to the worker — frame pairs regenerate
-    there from ``(dataset_config, index)``, so no point clouds cross the
-    process boundary.  ``trace_parent`` carries the parent-side sweep
+    An item that raises — even after the chunk retry ladder — occupies
+    its slot in the result list with one of these instead of aborting
+    the map.
+    """
+
+    index: int
+    error: str
+    error_type: str
+
+    @classmethod
+    def from_exception(cls, index: int, error: Exception) -> TaskError:
+        return cls(index=index, error=str(error),
+                   error_type=type(error).__name__)
+
+
+# ----------------------------------------------------------------------
+# Worker side.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _ChunkTask:
+    """One chunk of a map: the per-item function plus its item slice.
+
+    ``fn`` must pickle (a module-level function, or an instance of a
+    module-level class); each item crosses the process boundary, so
+    callers keep items small (configuration, not data) and regenerate
+    heavy state in ``fn``.  ``trace_parent`` carries the parent-side map
     span id so worker spans nest under it; ``attempt`` numbers the rung
     of the retry ladder delivering the chunk (0 = first pool attempt).
     """
 
     indices: tuple[int, ...]
-    dataset_config: DatasetConfig
-    config: BBAlignConfig | None
-    detector_profile: DetectorProfile
-    include_vips: bool
-    vips_config: VipsConfig | None
-    seed: int
-    fault: WorkerFault | None = None
+    fn: Callable
+    items: tuple
     trace_parent: str | None = None
     attempt: int = 0
 
-    def state_key(self) -> tuple:
-        return (dataset_fingerprint(self.dataset_config),
-                repr(self.config), repr(self.detector_profile))
 
-
-# ----------------------------------------------------------------------
-# Worker side.  Module globals are per-process: each pool worker keeps
-# its own constructed state and reuses it across the chunks (and sweeps)
-# it is handed, rebuilding only when the configuration changes.
-# ----------------------------------------------------------------------
-_WORKER_STATE_KEY: tuple | None = None
-_WORKER_STATE: tuple | None = None
-
-
-def _worker_state(task: _ChunkTask) -> tuple:
-    global _WORKER_STATE_KEY, _WORKER_STATE
-    key = task.state_key()
-    if _WORKER_STATE is None or key != _WORKER_STATE_KEY:
-        from repro.core.pipeline import BBAlign
-        from repro.detection.simulated import SimulatedDetector
-        _WORKER_STATE = (V2VDatasetSim(task.dataset_config),
-                         BBAlign(task.config),
-                         SimulatedDetector(task.detector_profile))
-        _WORKER_STATE_KEY = key
-    return _WORKER_STATE
+def _apply(fn: Callable, index: int, item):
+    try:
+        return fn(item)
+    except Exception as error:
+        counter("engine/task_errors").inc()
+        return TaskError.from_exception(index, error)
 
 
 def _run_chunk(task: _ChunkTask) -> tuple[int, list, dict]:
-    """Evaluate one chunk; returns (first index, outcomes, telemetry).
+    """Evaluate one chunk; returns (first index, results, telemetry).
 
-    A pair whose evaluation raises is captured as a
-    :class:`~repro.experiments.common.PairErrorOutcome` — one degraded
-    data point — and the chunk moves on.  Only process-level failures
-    (worker death, hang) escape to the parent's chunk-retry ladder.
-
-    ``telemetry`` is picklable: the chunk-local registry snapshot (stage
-    seconds, pipeline counters, pair count) plus the chunk's span events
-    when the parent traced the sweep.  Everything the chunk records goes
-    through the chunk-local registry installed here, so a chunk is an
-    atomic, dedupable telemetry unit.
+    Item-level exceptions become :class:`TaskError` records; only
+    process-level failures (worker death, hang) escape to the parent's
+    retry ladder.  ``telemetry`` is picklable: the chunk-local registry
+    snapshot plus the chunk's span events when the parent traced the
+    map — a chunk is an atomic, dedupable telemetry unit.
     """
-    # Imported here (not at module top) so the runtime package carries no
-    # import-time dependency on the experiments package.
-    from repro.experiments.common import PairErrorOutcome, evaluate_pair
-
-    dataset, aligner, detector = _worker_state(task)
-    cache = get_default_cache()
-    ds_fp = dataset_fingerprint(task.dataset_config)
-    ext_fp = extraction_fingerprint(aligner.config)
     timings = SweepTimings()
-    outcomes = []
-    # Span collection is paid only when the parent traced the sweep; the
-    # chunk-local registry is installed either way so pipeline counters
-    # always travel home with the chunk.
+    # Span collection is paid only when the parent traced the map; the
+    # chunk-local timings are installed either way so counters always
+    # travel home with the chunk.
     spans_cm: contextlib.AbstractContextManager
     spans_cm = (collect_spans(task.trace_parent)
                 if task.trace_parent is not None
                 else contextlib.nullcontext(None))
-    with use_registry(timings.registry), spans_cm as collector:
+    with use_timings(timings), spans_cm as collector:
         with span("engine/chunk", first_index=task.indices[0],
-                  pairs=len(task.indices), attempt=task.attempt):
-            for index in task.indices:
-                try:
-                    if task.fault is not None:
-                        task.fault.maybe_fire(index)
-                    with span("engine/pair", index=index):
-                        with stage(timings, "data_generation"):
-                            record = dataset[index]
-                        outcome = evaluate_pair(
-                            record, aligner, detector, seed=task.seed,
-                            include_vips=task.include_vips,
-                            vips_config=task.vips_config,
-                            cache=cache, dataset_fp=ds_fp,
-                            extraction_fp=ext_fp, timings=timings)
-                except Exception as error:
-                    timings.registry.counter("engine/pair_errors").inc()
-                    outcome = PairErrorOutcome.from_exception(index, error)
-                outcomes.append(outcome)
-    timings.pairs = len(outcomes)
+                  items=len(task.indices), attempt=task.attempt):
+            results = [_apply(task.fn, index, item)
+                       for index, item in zip(task.indices, task.items)]
     telemetry = {"snapshot": timings.to_snapshot(),
                  "spans": collector.events if collector is not None else []}
-    return task.indices[0], outcomes, telemetry
+    return task.indices[0], results, telemetry
+
+
+def _run_chunk_serially(task: _ChunkTask) -> tuple[int, list, dict]:
+    """Last rung: run a chunk in-process; even that failing yields
+    one error record per item instead of an exception."""
+    try:
+        return _run_chunk(task)
+    except Exception as error:
+        results = [TaskError.from_exception(index, error)
+                   for index in task.indices]
+        return task.indices[0], results, {"snapshot": {}, "spans": []}
 
 
 # ----------------------------------------------------------------------
 # Parent side.  The engine keeps one module-global WorkerPool so worker
-# processes retain their per-process feature caches across sweeps; the
+# processes retain their per-process feature caches across maps; the
 # lifecycle mechanics live in repro.runtime.pool, shared with the
 # service.
 # ----------------------------------------------------------------------
@@ -256,56 +248,213 @@ def _shutdown_pool_at_exit() -> None:
 atexit.register(_shutdown_pool_at_exit)
 
 
-def _collect_chunks(pool: ProcessPoolExecutor, tasks: list,
+def _collect_chunks(pool: ProcessPoolExecutor, tasks: list[_ChunkTask],
                     per_chunk: dict[int, tuple], merged: SweepTimings,
-                    chunk_timeout: float | None,
-                    worker=None) -> list[tuple]:
+                    chunk_timeout: float | None) -> list[_ChunkTask]:
     """Submit ``tasks`` and gather results; returns the failed ones.
 
-    Successful chunks land in ``per_chunk`` keyed by first pair index
-    and their telemetry folds into ``merged`` (chunk-keyed, so a chunk
-    retried by the caller's ladder replaces rather than adds).  Any
-    per-chunk failure — worker death, timeout, serialization error, an
-    exception escaping the worker — is captured with its task for the
-    caller's retry ladder, never raised.  ``worker`` is the function the
-    pool runs per chunk (default: the sweep's :func:`_run_chunk`); it
-    must return ``(first_index, outcomes, telemetry)``.
+    Successful chunks land in ``per_chunk`` keyed by first index and
+    their telemetry folds into ``merged`` (chunk-keyed, so a chunk
+    retried by the ladder replaces rather than adds).  Any per-chunk
+    failure — worker death, timeout, serialization error, an exception
+    escaping the worker — is returned for the retry ladder, never
+    raised.
     """
-    if worker is None:
-        worker = _run_chunk
-    failed: list[tuple] = []
+    failed: list[_ChunkTask] = []
     futures: list[tuple] = []
     for task in tasks:
         try:
-            futures.append((pool.submit(worker, task), task))
-        except Exception as error:  # pool died between submits
-            failed.append((task, error))
+            futures.append((pool.submit(_run_chunk, task), task))
+        except Exception:  # pool died between submits
+            failed.append(task)
     for future, task in futures:
         try:
-            first_index, outcomes, telemetry = future.result(
+            first_index, results, telemetry = future.result(
                 timeout=chunk_timeout)
-        except TimeoutError as error:
+        except TimeoutError:
             merged.registry.counter("engine/chunk_timeouts").inc()
-            failed.append((task, error))
-        except Exception as error:
+            failed.append(task)
+        except Exception:
             merged.registry.counter("engine/chunk_failures").inc()
-            failed.append((task, error))
+            failed.append(task)
         else:
-            per_chunk[first_index] = (outcomes, telemetry)
+            per_chunk[first_index] = (results, telemetry)
             merged.merge_chunk(first_index, telemetry["snapshot"])
     return failed
 
 
-def _run_chunk_serially(task: _ChunkTask) -> tuple[int, list, dict]:
-    """Last rung: run a chunk in-process; even that failing yields
-    one error record per pair instead of an exception."""
-    try:
-        return _run_chunk(task)
-    except Exception as error:
-        from repro.experiments.common import PairErrorOutcome
-        outcomes = [PairErrorOutcome.from_exception(index, error)
-                    for index in task.indices]
-        return task.indices[0], outcomes, {"snapshot": {}, "spans": []}
+def _map(fn: Callable, items, workers: int, chunk_size: int | None,
+         chunk_timeout: float | None, timings: SweepTimings | None,
+         span_name: str) -> list:
+    """The fault-tolerant map behind both public entry points.
+
+    Chunks go to the pool; failures are resubmitted to a restarted pool
+    per :data:`~repro.runtime.retry.ENGINE_DEFAULT`, then run serially
+    in-process.  A pool that cannot start sends every pending chunk
+    straight to the serial rung.  Worker span events are re-emitted
+    into the caller's collector (chunk-deduplicated, in chunk order)
+    under a parent-side ``span_name`` span.
+    """
+    chunks = chunk_indices(len(items), workers, chunk_size)
+    if not chunks:
+        return []
+    collector = active_collector()
+    merged = SweepTimings()
+    start = time.perf_counter()
+    with span(span_name, items=len(items), workers=workers,
+              chunks=len(chunks)) as map_span:
+        trace_parent = map_span.span_id if map_span is not None else None
+        failed = [_ChunkTask(indices, fn, tuple(items[i] for i in indices),
+                             trace_parent)
+                  for indices in chunks]
+        merged.registry.counter("engine/chunks").inc(len(chunks))
+        per_chunk: dict[int, tuple] = {}
+        for attempt, delay in enumerate((0.0, *ENGINE_DEFAULT.delays())):
+            if attempt:
+                # Retry the failures on a fresh pool.  Cancel anything
+                # still queued and tear the old pool down without
+                # waiting, so the retry (and a possible serial fallback)
+                # never races chunks still running in half-broken
+                # workers.
+                shutdown_pool(wait=False, cancel_futures=True)
+                merged.registry.counter("engine/chunk_retries").inc(
+                    len(failed))
+                if delay > 0:
+                    time.sleep(delay)
+            failed = [replace(task, attempt=attempt) for task in failed]
+            try:
+                pool = _get_pool(workers)
+            except PoolUnavailableError as error:
+                warnings.warn(
+                    f"process pool unavailable ({error}); falling back "
+                    "to in-process serial execution",
+                    RuntimeWarning, stacklevel=3)
+                break
+            failed = _collect_chunks(pool, failed, per_chunk, merged,
+                                     chunk_timeout)
+            if not failed:
+                break
+        if failed:
+            shutdown_pool(wait=False, cancel_futures=True)
+        for task in failed:
+            merged.registry.counter("engine/serial_fallbacks").inc()
+            first_index, results, telemetry = _run_chunk_serially(
+                replace(task, attempt=attempt + 1))
+            per_chunk[first_index] = (results, telemetry)
+            merged.merge_chunk(first_index, telemetry["snapshot"])
+
+        ordered: list = []
+        for first_index in sorted(per_chunk):
+            results, telemetry = per_chunk[first_index]
+            ordered.extend(results)
+            if collector is not None:
+                for event in telemetry["spans"]:
+                    collector.emit(event)
+    if timings is not None:
+        merged.workers = workers
+        merged.wall_seconds = time.perf_counter() - start
+        timings.merge(merged)
+    return ordered
+
+
+def run_tasks_parallel(fn: Callable, items, *, workers: int | None = None,
+                       chunk_size: int | None = None,
+                       chunk_timeout: float | None = None,
+                       timings: SweepTimings | None = None) -> list:
+    """Fault-tolerant parallel map of ``fn`` over ``items``.
+
+    Returns one result per item, in item order, exactly as a serial
+    ``[fn(item) for item in items]`` would — except an item whose
+    evaluation raises yields a :class:`TaskError` in its slot rather
+    than an exception.  Chunks ride the retry ladder (failed chunk →
+    fresh pool → in-process serial); a pool that cannot start degrades
+    the whole map to in-process execution.  ``workers=1`` runs serially
+    without touching the pool.  Chunk telemetry merges into ``timings``
+    when given; worker spans nest under a parent-side ``engine/map``
+    span when tracing.
+
+    ``fn`` must be a module-level function and every item picklable.
+    """
+    items = list(items)
+    workers = resolve_workers(workers)
+    if workers <= 1:
+        return [_apply(fn, index, item) for index, item in enumerate(items)]
+    return _map(fn, items, workers, chunk_size, chunk_timeout, timings,
+                "engine/map")
+
+
+# ----------------------------------------------------------------------
+# The pose-recovery sweep: the map over a per-pair function.  Module
+# globals are per-process: each pool worker keeps its own constructed
+# state and reuses it across the pairs (and sweeps) it is handed,
+# rebuilding only when the configuration changes.
+# ----------------------------------------------------------------------
+_WORKER_STATE_KEY: tuple | None = None
+_WORKER_STATE: tuple | None = None
+
+
+@dataclass(frozen=True)
+class _SweepPair:
+    """Evaluates sweep pair ``index``; the sweep's per-item function.
+
+    Only configuration travels to the worker — frame pairs regenerate
+    there from ``(dataset_config, index)``, so no point clouds cross the
+    process boundary.  Stage seconds and the pair count go to the
+    ambient timings — chunk-local inside :func:`_run_chunk`.
+    """
+
+    dataset_config: DatasetConfig
+    config: BBAlignConfig | None
+    detector_profile: DetectorProfile
+    include_vips: bool
+    vips_config: VipsConfig | None
+    seed: int
+    fault: WorkerFault | None = None
+
+    def state_key(self) -> tuple:
+        return (dataset_fingerprint(self.dataset_config),
+                repr(self.config), repr(self.detector_profile))
+
+    def _state(self) -> tuple:
+        global _WORKER_STATE_KEY, _WORKER_STATE
+        key = self.state_key()
+        if _WORKER_STATE is None or key != _WORKER_STATE_KEY:
+            from repro.core.pipeline import BBAlign
+            from repro.detection.simulated import SimulatedDetector
+            aligner = BBAlign(self.config)
+            _WORKER_STATE = (V2VDatasetSim(self.dataset_config), aligner,
+                             SimulatedDetector(self.detector_profile),
+                             dataset_fingerprint(self.dataset_config),
+                             extraction_fingerprint(aligner.config))
+            _WORKER_STATE_KEY = key
+        return _WORKER_STATE
+
+    def __call__(self, index: int):
+        """The pair's outcome; a pair whose evaluation raises becomes a
+        :class:`~repro.experiments.common.PairErrorOutcome` — one
+        degraded data point — and the chunk moves on."""
+        # Imported here (not at module top) so the runtime package
+        # carries no import-time dependency on the experiments package.
+        from repro.experiments.common import PairErrorOutcome, evaluate_pair
+
+        timings = active_timings()
+        if timings is not None:
+            timings.pairs += 1
+        try:
+            if self.fault is not None:
+                self.fault.maybe_fire(index)
+            dataset, aligner, detector, ds_fp, ext_fp = self._state()
+            with span("engine/pair", index=index):
+                with stage(timings, "data_generation"):
+                    record = dataset[index]
+                return evaluate_pair(
+                    record, aligner, detector, seed=self.seed,
+                    include_vips=self.include_vips,
+                    vips_config=self.vips_config, cache=get_default_cache(),
+                    dataset_fp=ds_fp, extraction_fp=ext_fp, timings=timings)
+        except Exception as error:
+            counter("engine/pair_errors").inc()
+            return PairErrorOutcome.from_exception(index, error)
 
 
 def run_sweep_parallel(
@@ -321,251 +470,21 @@ def run_sweep_parallel(
         chunk_size: int | None = None,
         timings: SweepTimings | None = None,
         chunk_timeout: float | None = None,
-        fault: WorkerFault | None = None,
-        retry: RetryPolicy | None = None):
-    """Run the pose-recovery sweep on a process pool.
+        fault: WorkerFault | None = None):
+    """Run the pose-recovery sweep on the fault-tolerant map.
 
     Returns the same outcome list (same ordering, same values) the
     serial sweep produces: one ``PairOutcome`` per pair — or a
-    ``PairErrorOutcome`` for a pair whose evaluation failed even after
-    the retry ladder.  Per-chunk stage timings are merged into
-    ``timings`` when given — keyed by chunk, so a chunk that visits
-    several rungs of the retry ladder contributes exactly once; merged
-    stage seconds are CPU-seconds summed across workers, while
+    ``PairErrorOutcome`` for a pair whose evaluation failed.  Per-chunk
+    stage timings are merged into ``timings`` when given; merged stage
+    seconds are CPU-seconds summed across workers, while
     ``wall_seconds`` reflects the pool's elapsed time as seen from the
-    parent.  When a trace collector is active, worker span events are
-    re-emitted into it (chunk-deduplicated, in chunk order) under a
-    parent-side ``engine/sweep`` span.
-
-    Chunk failures degrade, they don't abort: a failed chunk is
-    resubmitted to a restarted pool (outstanding futures cancelled
-    first) per ``retry`` — the default policy
-    (:data:`~repro.runtime.retry.ENGINE_DEFAULT`) retries once with no
-    backoff, reproducing the historical ladder — then run serially
-    in-process.  Retry jitter draws from a generator seeded by
-    ``[seed, 0x52]`` so backoff schedules are reproducible.
-    ``chunk_timeout`` bounds each chunk's wall time on the pool;
-    ``fault`` injects a :class:`~repro.runtime.faults.WorkerFault` for
-    robustness testing.
-
-    Raises:
-        PoolUnavailableError: the pool could not start at all; the
-            caller should fall back to serial execution.
+    parent.  When tracing, worker spans nest under a parent-side
+    ``engine/sweep`` span.  ``chunk_timeout`` bounds each chunk's wall
+    time on the pool; ``fault`` injects a
+    :class:`~repro.runtime.faults.WorkerFault` for robustness testing.
     """
-    workers = resolve_workers(workers)
-    chunks = chunk_indices(num_pairs, workers, chunk_size)
-    if not chunks:
-        return []
-    collector = active_collector()
-    with span("engine/sweep", pairs=num_pairs, workers=workers,
-              chunks=len(chunks)) as sweep_span:
-        trace_parent = sweep_span.span_id if sweep_span is not None else None
-        tasks = [_ChunkTask(indices, dataset_config, config,
-                            detector_profile, include_vips, vips_config,
-                            seed, fault, trace_parent)
-                 for indices in chunks]
-        start = time.perf_counter()
-        pool = _get_pool(workers)
-        per_chunk: dict[int, tuple] = {}
-        merged = SweepTimings()
-        merged.registry.counter("engine/chunks").inc(len(chunks))
-        failed = _collect_chunks(pool, tasks, per_chunk, merged,
-                                 chunk_timeout)
-        policy = retry if retry is not None else ENGINE_DEFAULT
-        retry_rng = np.random.default_rng([seed, 0x52])
-        attempt = 0
-        for delay in policy.delays(retry_rng):
-            if not failed:
-                break
-            # Retry the failures on a fresh pool.  Cancel anything
-            # still queued and tear the old pool down without waiting,
-            # so the retry (and a possible serial fallback) never races
-            # chunks still running in half-broken workers.
-            attempt += 1
-            shutdown_pool(wait=False, cancel_futures=True)
-            merged.registry.counter("engine/chunk_retries").inc(len(failed))
-            if delay > 0:
-                time.sleep(delay)
-            retry_tasks = [replace(task, attempt=attempt)
-                           for task, _ in failed]
-            try:
-                pool = _get_pool(workers)
-                failed = _collect_chunks(pool, retry_tasks, per_chunk,
-                                         merged, chunk_timeout)
-            except PoolUnavailableError:
-                failed = [(replace(task, attempt=attempt), error)
-                          for task, error in failed]
-        if failed:
-            shutdown_pool(wait=False, cancel_futures=True)
-        for task, _error in failed:
-            merged.registry.counter("engine/serial_fallbacks").inc()
-            first_index, outcomes, telemetry = _run_chunk_serially(
-                replace(task, attempt=attempt + 1))
-            per_chunk[first_index] = (outcomes, telemetry)
-            merged.merge_chunk(first_index, telemetry["snapshot"])
-
-        ordered = []
-        for first_index in sorted(per_chunk):
-            outcomes, telemetry = per_chunk[first_index]
-            ordered.extend(outcomes)
-            if collector is not None:
-                for event in telemetry["spans"]:
-                    collector.emit(event)
-    if timings is not None:
-        merged.workers = workers
-        merged.wall_seconds = time.perf_counter() - start
-        timings.merge(merged)
-    return ordered
-
-
-# ----------------------------------------------------------------------
-# Generic fault-tolerant map.  Same pool, same chunking, same retry
-# ladder as the sweep — but over arbitrary picklable payloads, so other
-# subsystems (the multi-vehicle study shards *scenes* this way) inherit
-# the engine's fault tolerance without re-implementing it.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TaskError:
-    """Sentinel result for an item whose evaluation failed.
-
-    A generic-map item that raises — even after the chunk retry ladder —
-    occupies its slot in the result list with one of these instead of
-    aborting the map, mirroring the sweep's ``PairErrorOutcome``.
-    """
-
-    index: int
-    error: str
-    error_type: str
-
-    @classmethod
-    def from_exception(cls, index: int, error: Exception) -> TaskError:
-        return cls(index=index, error=str(error),
-                   error_type=type(error).__name__)
-
-
-@dataclass(frozen=True)
-class _MapChunkTask:
-    """One chunk of a generic map: the callable plus its payload slice.
-
-    ``fn`` must be a module-level function (picklable); each payload
-    item crosses the process boundary, so callers keep payloads small
-    (configuration, not data) and regenerate heavy state in ``fn``.
-    """
-
-    indices: tuple[int, ...]
-    fn: object
-    items: tuple
-    attempt: int = 0
-
-
-def _apply_map_item(fn, index: int, item):
-    try:
-        return fn(item)
-    except Exception as error:
-        return TaskError.from_exception(index, error)
-
-
-def _run_map_chunk(task: _MapChunkTask) -> tuple[int, list, dict]:
-    """Evaluate one generic chunk; returns (first index, results,
-    telemetry).  Item-level exceptions become :class:`TaskError`
-    records; only process-level failures escape to the retry ladder."""
-    timings = SweepTimings()
-    results = []
-    with use_registry(timings.registry):
-        for index, item in zip(task.indices, task.items):
-            result = _apply_map_item(task.fn, index, item)
-            if isinstance(result, TaskError):
-                timings.registry.counter("engine/task_errors").inc()
-            results.append(result)
-    return task.indices[0], results, {"snapshot": timings.to_snapshot(),
-                                      "spans": []}
-
-
-def _run_map_chunk_serially(task: _MapChunkTask) -> tuple[int, list, dict]:
-    try:
-        return _run_map_chunk(task)
-    except Exception as error:
-        results = [TaskError.from_exception(index, error)
-                   for index in task.indices]
-        return task.indices[0], results, {"snapshot": {}, "spans": []}
-
-
-def run_tasks_parallel(fn, items, *, workers: int | None = None,
-                       chunk_size: int | None = None,
-                       chunk_timeout: float | None = None,
-                       retry: RetryPolicy | None = None,
-                       seed: int = 7,
-                       timings: SweepTimings | None = None) -> list:
-    """Fault-tolerant parallel map of ``fn`` over ``items``.
-
-    Returns one result per item, in item order, exactly as a serial
-    ``[fn(item) for item in items]`` would — except an item whose
-    evaluation raises yields a :class:`TaskError` in its slot rather
-    than an exception.  Chunks ride the sweep's retry ladder (failed
-    chunk → fresh pool → in-process serial), and unlike
-    :func:`run_sweep_parallel` this never raises
-    :class:`PoolUnavailableError`: if the pool cannot start at all the
-    whole map degrades to in-process serial execution.  ``workers=1``
-    short-circuits to serial without touching the pool.
-
-    ``fn`` must be a module-level function and every item picklable.
-    """
-    items = list(items)
-    if not items:
-        return []
-    workers = resolve_workers(workers)
-    if workers <= 1:
-        return [_apply_map_item(fn, index, item)
-                for index, item in enumerate(items)]
-    chunks = chunk_indices(len(items), workers, chunk_size)
-    tasks = [_MapChunkTask(indices, fn,
-                           tuple(items[i] for i in indices))
-             for indices in chunks]
-    start = time.perf_counter()
-    per_chunk: dict[int, tuple] = {}
-    merged = SweepTimings()
-    merged.registry.counter("engine/chunks").inc(len(chunks))
-    try:
-        pool = _get_pool(workers)
-        failed = _collect_chunks(pool, tasks, per_chunk, merged,
-                                 chunk_timeout, worker=_run_map_chunk)
-    except PoolUnavailableError:
-        failed = [(task, PoolUnavailableError("pool unavailable"))
-                  for task in tasks]
-    policy = retry if retry is not None else ENGINE_DEFAULT
-    retry_rng = np.random.default_rng([seed, 0x53])
-    attempt = 0
-    for delay in policy.delays(retry_rng):
-        if not failed:
-            break
-        attempt += 1
-        shutdown_pool(wait=False, cancel_futures=True)
-        merged.registry.counter("engine/chunk_retries").inc(len(failed))
-        if delay > 0:
-            time.sleep(delay)
-        retry_tasks = [replace(task, attempt=attempt)
-                       for task, _ in failed]
-        try:
-            pool = _get_pool(workers)
-            failed = _collect_chunks(pool, retry_tasks, per_chunk,
-                                     merged, chunk_timeout,
-                                     worker=_run_map_chunk)
-        except PoolUnavailableError:
-            failed = [(replace(task, attempt=attempt), error)
-                      for task, error in failed]
-    if failed:
-        shutdown_pool(wait=False, cancel_futures=True)
-    for task, _error in failed:
-        merged.registry.counter("engine/serial_fallbacks").inc()
-        first_index, results, telemetry = _run_map_chunk_serially(
-            replace(task, attempt=attempt + 1))
-        per_chunk[first_index] = (results, telemetry)
-        merged.merge_chunk(first_index, telemetry["snapshot"])
-    ordered: list = []
-    for first_index in sorted(per_chunk):
-        ordered.extend(per_chunk[first_index][0])
-    if timings is not None:
-        merged.workers = workers
-        merged.wall_seconds = time.perf_counter() - start
-        timings.merge(merged)
-    return ordered
+    pair = _SweepPair(dataset_config, config, detector_profile,
+                      include_vips, vips_config, seed, fault)
+    return _map(pair, range(num_pairs), resolve_workers(workers),
+                chunk_size, chunk_timeout, timings, "engine/sweep")

@@ -33,11 +33,11 @@ import contextvars
 import time
 from typing import Iterator, Mapping
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import active_collector, span as obs_span
 
 __all__ = ["STAGES", "SweepTimings", "stage", "collect_timings",
-           "active_timings"]
+           "active_timings", "use_timings"]
 
 # Canonical stage order, matching the sweep's per-pair flow.
 STAGES: tuple[str, ...] = (
@@ -353,6 +353,18 @@ _ACTIVE: contextvars.ContextVar[SweepTimings | None] = contextvars.ContextVar(
 def active_timings() -> SweepTimings | None:
     """The ambient accumulator installed by :func:`collect_timings`."""
     return _ACTIVE.get()
+
+
+@contextlib.contextmanager
+def use_timings(timings: SweepTimings) -> Iterator[SweepTimings]:
+    """Install ``timings`` as the ambient accumulator and its registry as
+    the ambient instrument store (the engine's chunk-local scope)."""
+    token = _ACTIVE.set(timings)
+    try:
+        with use_registry(timings.registry):
+            yield timings
+    finally:
+        _ACTIVE.reset(token)
 
 
 @contextlib.contextmanager

@@ -3,9 +3,10 @@
 Two batch shapes run on the service's pool:
 
 * **indexed** batches are literally the sweep engine's chunks: the
-  service builds a :class:`repro.runtime.engine._ChunkTask` over the
-  requested pair indices and submits the engine's own ``_run_chunk``.
-  Same function, same seeds, same per-pair error capture — which is
+  service builds a :class:`repro.runtime.engine._ChunkTask` of the
+  sweep's per-pair function over the requested pair indices and submits
+  the engine's own ``_run_chunk``.  Same function, same seeds, same
+  per-pair error capture — which is
   what makes a service answer for pair ``i`` byte-identical to the
   sweep's outcome for pair ``i`` (the clean-path parity guarantee) and
   lets :class:`~repro.runtime.faults.WorkerFault` injection work
@@ -59,13 +60,14 @@ __all__ = ["ScanPairTask", "build_chunk_task", "configure_worker",
 def build_chunk_task(indices: tuple[int, ...], config: ServiceConfig,
                      attempt: int = 0, trace_parent: str | None = None):
     """The engine chunk task evaluating ``indices`` for this service."""
-    from repro.runtime.engine import _ChunkTask
-    return _ChunkTask(
-        indices=indices, dataset_config=config.dataset_config,
-        config=config.config, detector_profile=config.detector_profile,
+    from repro.runtime.engine import _ChunkTask, _SweepPair
+    pair = _SweepPair(
+        dataset_config=config.dataset_config, config=config.config,
+        detector_profile=config.detector_profile,
         include_vips=config.include_vips, vips_config=config.vips_config,
-        seed=config.seed, fault=config.fault, attempt=attempt,
-        trace_parent=trace_parent)
+        seed=config.seed, fault=config.fault)
+    return _ChunkTask(indices=indices, fn=pair, items=indices,
+                      trace_parent=trace_parent, attempt=attempt)
 
 
 def run_chunk(task):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.multi import MultiVehicleAligner, PairwiseEdge
-from repro.core.pose_graph import PoseGraphConfig, cycle_gate
+from repro.core.multi import MultiVehicleAligner
+from repro.core.pose_graph import PoseGraphConfig, PoseGraphEdge, cycle_gate
 from repro.geometry.se2 import SE2
 
 
@@ -17,7 +17,7 @@ def exact_edges(poses, pairs, weight=10.0, perturb=None):
             d = perturb[index]
             transform = SE2(transform.theta + d[0],
                             transform.tx + d[1], transform.ty + d[2])
-        edges.append(PairwiseEdge(i, j, transform, weight))
+        edges.append(PoseGraphEdge(i, j, transform, weight))
     return edges
 
 
@@ -211,9 +211,3 @@ class TestEndToEndMulti:
         config = PoseGraphConfig(cycle_translation_tol=0.5)
         aligner = MultiVehicleAligner(graph=config)
         assert aligner.graph_config.cycle_translation_tol == 0.5
-
-
-def test_pairwise_edge_alias():
-    """The historical name must stay importable and interchangeable."""
-    from repro.core.pose_graph import PoseGraphEdge
-    assert PairwiseEdge is PoseGraphEdge

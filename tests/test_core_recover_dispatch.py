@@ -196,34 +196,6 @@ class TestTierPaths:
         assert result.message_bytes != len(frame)
 
 
-class TestDeprecatedWrappers:
-    def test_recover_from_features_warns_and_delegates(
-            self, pair_features, pair_boxes):
-        ego_boxes, other_boxes = pair_boxes
-        with pytest.warns(DeprecationWarning, match="recover_from_features"):
-            wrapped = BBAlign().recover_from_features(
-                *pair_features, ego_boxes, other_boxes, rng=0)
-        direct = BBAlign().recover(*pair_features, ego_boxes, other_boxes,
-                                   rng=0)
-        assert wrapped.transform.theta == direct.transform.theta
-        assert wrapped.success == direct.success
-
-    def test_recover_from_message_warns_and_delegates(
-            self, frame_pair, pair_features, pair_boxes):
-        with pytest.warns(DeprecationWarning, match="recover_from_message"):
-            result = BBAlign().recover_from_message(
-                frame_pair.ego_cloud, None, pair_boxes[0])
-        assert result.failure_reason is FailureReason.MESSAGE_DROPPED
-
-    def test_recover_from_message_feature_shortcut(
-            self, pair_features, pair_boxes):
-        with pytest.warns(DeprecationWarning):
-            result = BBAlign().recover_from_message(
-                None, b"junk", pair_boxes[0],
-                ego_features=pair_features[0])
-        assert result.failure_reason is FailureReason.MESSAGE_UNDECODABLE
-
-
 class TestKeypointTier:
     def test_keypoints_carry_enough_to_match(self, frame_pair,
                                              pair_features, pair_boxes):

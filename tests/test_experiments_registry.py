@@ -1,5 +1,7 @@
 """Tests for the declarative experiment registry."""
 
+import inspect
+
 import pytest
 
 from repro.experiments.registry import (
@@ -65,14 +67,12 @@ class TestRunShim:
         assert spec.run(5, 7, workers=3) == "ok"
         assert seen == {"num_pairs": 5, "seed": 7, "workers": 3}
 
-    def test_legacy_runner_warns_and_drops_workers(self):
-        def legacy(num_pairs, seed):
-            return (num_pairs, seed)
-
-        spec = ExperimentSpec(name="_legacy", runner=legacy,
-                              formatter=str, description="test")
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            assert spec.run(5, 7, workers=3) == (5, 7)
+    def test_every_registered_runner_accepts_workers(self):
+        for spec in all_specs():
+            parameters = inspect.signature(spec.runner).parameters
+            assert "workers" in parameters or any(
+                p.kind is inspect.Parameter.VAR_KEYWORD
+                for p in parameters.values()), spec.name
 
     def test_format_delegates(self):
         spec = ExperimentSpec(name="_fmt", runner=lambda: None,

@@ -30,7 +30,11 @@ from repro.obs import (
     trace_session,
     use_registry,
 )
-from repro.runtime.engine import run_sweep_parallel, shutdown_pool
+from repro.runtime.engine import (
+    run_sweep_parallel,
+    run_tasks_parallel,
+    shutdown_pool,
+)
 from repro.runtime.faults import WorkerFault
 from repro.runtime.timings import SweepTimings, collect_timings, stage
 from repro.simulation.dataset import DatasetConfig
@@ -296,6 +300,31 @@ class TestSweepIntegration:
         span_keys = [name for name in timings.registry.histograms
                      if name.startswith("span/")]
         assert span_keys == []
+
+
+def _traced_square(value):
+    with span("test/item", value=value):
+        return value * value
+
+
+class TestMapIntegration:
+    def test_worker_spans_nest_under_parent_map_span(self):
+        with collect_spans() as collector:
+            results = run_tasks_parallel(_traced_square, range(6),
+                                         workers=2, chunk_size=2)
+        assert results == [v * v for v in range(6)]
+        events = collector.events
+        maps = [e for e in events if e["name"] == "engine/map"]
+        assert len(maps) == 1
+        assert maps[0]["pid"] == os.getpid()
+        chunks = [e for e in events if e["name"] == "engine/chunk"]
+        assert len(chunks) == 3
+        assert {c["parent_id"] for c in chunks} == {maps[0]["span_id"]}
+        assert all(c["pid"] != os.getpid() for c in chunks)
+        items = [e for e in events if e["name"] == "test/item"]
+        assert sorted(e["attrs"]["value"] for e in items) == list(range(6))
+        assert {e["parent_id"] for e in items} <= \
+            {c["span_id"] for c in chunks}
 
 
 class TestChunkDedupe:

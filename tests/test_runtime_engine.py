@@ -11,6 +11,7 @@ from repro.runtime.engine import (
     chunk_indices,
     resolve_workers,
 )
+from repro.runtime.pool import WorkerPool
 from repro.runtime.timings import SweepTimings
 
 
@@ -62,20 +63,32 @@ class TestParallelDeterminism:
 
 class TestFallback:
     def test_falls_back_to_serial_when_pool_unavailable(self, monkeypatch):
-        def broken(*args, **kwargs):
+        """A pool that refuses to start degrades the sweep and the
+        generic map alike to in-process execution, with one warning."""
+        def refuse(self):
             raise PoolUnavailableError("pool refused (test)")
 
-        monkeypatch.setattr(engine, "run_sweep_parallel", broken)
+        engine.shutdown_pool()
+        monkeypatch.setattr(WorkerPool, "executor", refuse)
         dataset = default_dataset(3, seed=13)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcomes = run_pose_recovery_sweep(dataset, include_vips=False,
-                                               workers=4, cache=False)
-        assert len(outcomes) == 3
-        assert any("falling back" in str(w.message) for w in caught)
-        reference = run_pose_recovery_sweep(dataset, include_vips=False,
-                                            workers=1, cache=False)
-        assert outcomes == reference
+        items = list(range(5))
+        cases = [
+            (lambda: run_pose_recovery_sweep(dataset, include_vips=False,
+                                             workers=4, cache=False),
+             run_pose_recovery_sweep(dataset, include_vips=False,
+                                     workers=1, cache=False)),
+            (lambda: engine.run_tasks_parallel(_square, items, workers=3),
+             engine.run_tasks_parallel(_square, items, workers=1)),
+        ]
+        for run, serial in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run()
+            fallbacks = [w for w in caught
+                         if "falling back" in str(w.message)]
+            assert len(fallbacks) == 1
+            assert fallbacks[0].category is RuntimeWarning
+            assert result == serial
 
     def test_single_pair_dataset_stays_serial(self, monkeypatch):
         def must_not_run(*args, **kwargs):  # pragma: no cover - guard

@@ -4,8 +4,12 @@ Each test injects one of the three :class:`WorkerFault` kinds and
 asserts the blast radius the engine promises: a raising pair degrades to
 one error record, a killed or hung worker degrades to *nothing* (the
 chunk retries clean on a fresh pool), and even a chunk that fails every
-rung yields error records instead of an exception.
+rung yields error records instead of an exception.  The generic map
+(:func:`run_tasks_parallel`) rides the same ladder.
 """
+
+import os
+import time
 
 import pytest
 
@@ -15,8 +19,14 @@ from repro.experiments.common import (
     default_dataset,
     run_pose_recovery_sweep,
 )
-from repro.runtime.engine import run_sweep_parallel, shutdown_pool
+from repro.runtime.engine import (
+    TaskError,
+    run_sweep_parallel,
+    run_tasks_parallel,
+    shutdown_pool,
+)
 from repro.runtime.faults import InjectedFault, WorkerFault
+from repro.runtime.timings import SweepTimings
 from repro.simulation.dataset import DatasetConfig
 
 NUM_PAIRS = 6
@@ -120,3 +130,33 @@ class TestSerialErrorCapture:
         assert isinstance(outcomes[1], PairErrorOutcome)
         assert outcomes[1].error_type == "RuntimeError"
         assert isinstance(outcomes[2], PairOutcome)
+
+
+def _square_or_die_once(item):
+    """Square ``value``; the first pool worker to reach value 3 exits
+    hard instead (claimed once via a file, never in the parent)."""
+    value, claim_dir, parent_pid = item
+    if value == 3 and os.getpid() != parent_pid:
+        try:
+            os.close(os.open(os.path.join(claim_dir, "died"),
+                             os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            time.sleep(0.5)  # let the sibling chunk's result land first
+            os._exit(1)
+    return value * value
+
+
+class TestGenericMapKill:
+    def test_killed_worker_retries_chunk_once(self, tmp_path):
+        items = [(value, str(tmp_path), os.getpid()) for value in range(4)]
+        timings = SweepTimings()
+        parallel = run_tasks_parallel(_square_or_die_once, items,
+                                      workers=2, chunk_size=2,
+                                      timings=timings)
+        assert (tmp_path / "died").exists()
+        assert parallel == run_tasks_parallel(_square_or_die_once, items,
+                                              workers=1)
+        assert timings.registry.counter("engine/chunk_retries").value == 1
+        assert not any(isinstance(r, TaskError) for r in parallel)
