@@ -245,7 +245,7 @@ def test_polygon_clip_batch_kernel(report):
         "speedup": round(before / after, 2), "num_pairs": pairs}
 
 
-def _wave1_orientation_amplitude_sum(self, image, precision="float64"):
+def _wave1_orientation_amplitude_sum(self, image):
     """The bank pass as it stood after stage-1 wave 1: packed real
     windows over the shared FFT backend, but fresh scratch allocations
     on every call (wave 2 moved these into the bank's reusable

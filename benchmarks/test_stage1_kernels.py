@@ -2,11 +2,10 @@
 
 Measures the vectorized stage-1 kernels — Log-Gabor/MIM, BVFT
 descriptors, chunked RANSAC, FAST keypoints, the BV projection, the
-pair-batched bank pass, overlap-ROI culling, and the opt-in float32
-path — against their kept predecessors, plus the end-to-end stage-1
-path (BV image -> ``T_bv``), and writes
-``benchmarks/results/BENCH_stage1.json`` so future PRs accumulate a
-perf trajectory.
+pair-batched bank pass and overlap-ROI culling — against their kept
+predecessors, plus the end-to-end stage-1 path (BV image -> ``T_bv``),
+and writes ``benchmarks/results/BENCH_stage1.json`` so future PRs
+accumulate a perf trajectory.
 
 The "before" side is the real pre-rework code: the per-frame
 ``radial * angular`` filter product over ``numpy.fft`` (the bank kernel
@@ -137,10 +136,9 @@ def _seed_flipped(self):
     return BVFeatures(flipped_image, flipped_mim, flipped_kp, empty)
 
 
-def _seed_compute_mim(bv, config=None, precision="float64"):
+def _seed_compute_mim(bv, config=None):
     """Seed ``compute_mim``: float64 amplitudes with axis-0 argmax/gather
-    (the rework replaced these with a float32 maximum sweep).  The seed
-    predates the precision knob; the argument is accepted and ignored."""
+    (the rework replaced these with a float32 maximum sweep)."""
     image = bv.image if isinstance(bv, mim_module.BVImage) \
         else np.asarray(bv, dtype=float)
     config = config or mim_module.LogGaborConfig()
@@ -440,25 +438,6 @@ def test_stage1_kernels_write_bench_trajectory(bench_inputs, results_dir,
         "speedup": round(before / after, 2),
         "window_size": int(roi_features.roi.size),
         "image_size": int(ego_bv.size)}
-
-    # ------------------------------------------------------------------
-    # Kernel 8: the opt-in float32 stage-1 path, BV image -> T_bv.
-    # Agreement (not identity) with float64: same success verdict here;
-    # the sweep-level contract lives in tests/test_stage1_precision.py.
-    # ------------------------------------------------------------------
-    matcher32 = BVMatcher(BBAlignConfig(
-        bv_image=BVImageConfig(cell_size=_CELL_SIZE),
-        stage1_precision="float32"))
-    result64 = _run_stage1(matcher, other_bv, ego_bv)
-    result32 = _run_stage1(matcher32, other_bv, ego_bv)
-    assert result32.success == result64.success
-    before, after = _ab_best(
-        lambda: _run_stage1(matcher, other_bv, ego_bv),
-        lambda: _run_stage1(matcher32, other_bv, ego_bv), rounds=3)
-    report["kernels"]["float32_stage1"] = {
-        "before_ms": round(before, 3), "after_ms": round(after, 3),
-        "speedup": round(before / after, 2),
-        "success": bool(result32.success)}
 
     # ------------------------------------------------------------------
     # End to end: BV image -> T_bv through the production BVMatcher, with

@@ -4,8 +4,8 @@ Every frequency-domain consumer in :mod:`repro.bev` (the Log-Gabor bank,
 phase congruency) routes its transforms through this module so all of
 them get the same backend selection: SciPy's pocketfft when available
 (SIMD-vectorized, ~2x faster than ``numpy.fft`` on this workload, and it
-preserves single precision — a float32 input yields a complex64
-spectrum), falling back to ``numpy.fft`` otherwise.
+preserves single precision — the bank's complex64 product spectra invert
+to complex64), falling back to ``numpy.fft`` otherwise.
 
 Both helpers transform over the last two axes, so a ``(B, H, W)`` stack
 is one batched call; pocketfft iterates the leading axis internally and
@@ -14,11 +14,8 @@ produces outputs bitwise-identical to per-slice transforms (asserted by
 of a pair through one pass without perturbing the byte-identical
 float64 contract.
 
-The module also owns the process-wide ``workers`` setting forwarded to
-SciPy (pocketfft's plan-level multithreading).  The default of ``None``
-keeps transforms single-threaded — sweep parallelism already saturates
-cores at the process level — but a streaming service with one hot worker
-can call :func:`set_fft_workers` to spread a single pair's transforms.
+Transforms run with SciPy's default single-threaded plan: sweep, fleet
+and service parallelism already saturate cores at the process level.
 """
 
 from __future__ import annotations
@@ -30,40 +27,18 @@ try:  # SciPy's pocketfft is SIMD-vectorized; numpy's is scalar C.
 except ImportError:  # pragma: no cover - scipy is a standard dependency
     _sp_fft = None
 
-__all__ = ["fft2", "ifft2", "set_fft_workers", "get_fft_workers"]
-
-# Thread count forwarded to scipy.fft (None = backend default, single
-# threaded).  Module-level rather than per-call: every bev consumer
-# should agree, and the setting is a deployment decision, not an
-# algorithmic one.
-_workers: int | None = None
-
-
-def set_fft_workers(workers: int | None) -> int | None:
-    """Set the scipy.fft ``workers`` count; returns the previous value.
-
-    A no-op (beyond bookkeeping) under the numpy fallback.
-    """
-    global _workers
-    previous = _workers
-    _workers = workers
-    return previous
-
-
-def get_fft_workers() -> int | None:
-    """The current scipy.fft ``workers`` setting."""
-    return _workers
+__all__ = ["fft2", "ifft2"]
 
 
 def fft2(image: np.ndarray) -> np.ndarray:
     """Forward FFT over the last two axes via the fastest backend.
 
-    Accepts a single ``(H, W)`` image or a ``(B, H, W)`` batch.  Under
-    SciPy a float32 input produces a complex64 spectrum; the numpy
-    fallback always returns complex128 (callers downcast as needed).
+    Accepts a single ``(H, W)`` image or a ``(B, H, W)`` batch; a
+    float64 input yields a complex128 spectrum (callers downcast as
+    needed).
     """
     if _sp_fft is not None:
-        return _sp_fft.fft2(image, workers=_workers)
+        return _sp_fft.fft2(image)
     return np.fft.fft2(image)
 
 
@@ -71,6 +46,5 @@ def ifft2(spectrum: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Inverse FFT over the last two axes; ``overwrite`` lets the backend
     destroy the input (safe for freshly-computed product spectra)."""
     if _sp_fft is not None:
-        return _sp_fft.ifft2(spectrum, overwrite_x=overwrite,
-                             workers=_workers)
+        return _sp_fft.ifft2(spectrum, overwrite_x=overwrite)
     return np.fft.ifft2(spectrum)

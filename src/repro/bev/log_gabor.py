@@ -56,9 +56,9 @@ Performance notes (the stage-1 hot path runs this on every frame):
   only consumed through wide-margin discrete decisions — the MIM
   orientation argmax, FAST thresholding, descriptor votes — and the
   relative ``~1e-7`` single-precision rounding does not move any of
-  them; the seeded integration suite produces bit-identical transforms
-  and inlier counts under either precision, while complex64 transforms
-  run ~2x faster on SIMD hosts.
+  them (the MIM argmax matches the double-precision ``_reference_*``
+  twins below), while complex64 transforms run ~2x faster on SIMD
+  hosts.
 
 The pre-rework implementations are preserved as ``_reference_*`` methods.
 They compute in double precision exactly as the original code did, so the
@@ -283,21 +283,17 @@ class LogGaborBank:
             workspace = self._scratch[batch] = (scaled, product, magnitude)
         return workspace
 
-    def orientation_amplitude_sum(self, image: np.ndarray,
-                                  precision: str = "float64") -> np.ndarray:
+    def orientation_amplitude_sum(self, image: np.ndarray) -> np.ndarray:
         """Eq. (9): per-orientation amplitude summed over scales.
 
         Returns an array of shape ``(N_o, H, H)``, float32 — the
         transforms run in single precision (see the module docstring);
         consumers needing double precision cast at their boundary.
-        ``precision`` selects the *forward* transform's precision (see
-        :meth:`orientation_amplitude_sums`).
         """
         return self.orientation_amplitude_sums(
-            self._check_image(image)[None], precision=precision)[0]
+            self._check_image(image)[None])[0]
 
-    def orientation_amplitude_sums(self, images: np.ndarray,
-                                   precision: str = "float64") -> np.ndarray:
+    def orientation_amplitude_sums(self, images: np.ndarray) -> np.ndarray:
         """Batched Eq. (9) over a ``(B, H, H)`` image stack.
 
         One pass streams every window and scratch buffer once for the
@@ -308,37 +304,21 @@ class LogGaborBank:
 
         Args:
             images: ``(B, H, H)`` float stack, ``H`` matching the bank.
-            precision: ``"float64"`` (default) computes the forward FFT
-                in double precision and downcasts the spectrum — the
-                byte-identical reference path; ``"float32"`` runs the
-                forward transform in single precision end-to-end (the
-                opt-in stage-1 fast path, validated by tolerance + pose
-                agreement rather than byte identity).
 
         Returns:
             ``(B, N_o, H, H)`` float32 amplitude sums.
         """
-        if precision not in ("float64", "float32"):
-            raise ValueError(
-                "precision must be 'float64' or 'float32', "
-                f"got {precision!r}")
-        images = np.asarray(
-            images,
-            dtype=np.float64 if precision == "float64" else np.float32)
+        images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3 or images.shape[1:] != (self.size, self.size):
             raise ValueError(
                 f"expected a (B, {self.size}, {self.size}) stack, "
                 f"got {images.shape}")
         cfg = self.config
         batch = images.shape[0]
-        # float64: double-precision forward FFT, then downcast — the
-        # input spectrum keeps full accuracy while the 48 products and
-        # inverse transforms run at complex64 speed.  float32: the
-        # forward transform itself runs single precision (scipy returns
-        # complex64 natively; the numpy fallback downcasts).
-        spectra = _fft2(images)
-        if spectra.dtype != np.complex64:
-            spectra = spectra.astype(np.complex64)
+        # Double-precision forward FFT, then downcast: the input
+        # spectrum keeps full accuracy while the 48 products and inverse
+        # transforms run at complex64 speed.
+        spectra = _fft2(images).astype(np.complex64)
         fview = spectra.view(np.float32)  # (B, H, 2W) interleaved re/im
         scaled, product, magnitude = self._workspace(batch)
         # Hoist the radial product: scaled[s] = spectrum * radial[s], then

@@ -70,19 +70,17 @@ class MIMResult:
         return self.max_amplitude >= relative_threshold * peak
 
 
-def _winner_sweep(amplitude: np.ndarray, num_orientations: int,
-                  precision: str) -> MIMResult:
+def _winner_sweep(amplitude: np.ndarray,
+                  num_orientations: int) -> MIMResult:
     """Winner selection over a ``(N_o, H, H)`` amplitude stack.
 
     Runs on the bank's float32 amplitudes as a manual maximum sweep:
     np.argmax reduces across axis 0 with a cache-hostile stride (~5 ms at
     320 px vs ~1 ms for the sweep), and the sweep yields the
     winning-amplitude map for free.  The strict ``>`` keeps np.argmax's
-    first-occurrence tie-breaking, so the winners are identical.  In the
-    default float64 precision the stored maps are float64 for downstream
-    consumers and the f64-accumulated total keeps max <= total exact; the
-    opt-in float32 precision keeps the maps single to carry the smaller
-    footprint through the descriptor stage.
+    first-occurrence tie-breaking, so the winners are identical.  The
+    stored maps are float64 for downstream consumers, and the
+    f64-accumulated total keeps max <= total exact.
     """
     best = amplitude[0].copy()
     mim = np.zeros(best.shape, dtype=np.int32)
@@ -91,14 +89,8 @@ def _winner_sweep(amplitude: np.ndarray, num_orientations: int,
         np.greater(amplitude[o], best, out=mask)
         np.copyto(mim, np.int32(o), where=mask)
         np.maximum(best, amplitude[o], out=best)
-    if precision == "float32":
-        max_amplitude = best
-        total = amplitude.sum(axis=0, dtype=np.float32)
-    else:
-        max_amplitude = best.astype(np.float64)
-        total = amplitude.sum(axis=0, dtype=np.float64)
-    return MIMResult(mim=mim, max_amplitude=max_amplitude,
-                     total_amplitude=total,
+    return MIMResult(mim=mim, max_amplitude=best.astype(np.float64),
+                     total_amplitude=amplitude.sum(axis=0, dtype=np.float64),
                      num_orientations=num_orientations)
 
 
@@ -109,18 +101,13 @@ def _check_square(image: np.ndarray) -> np.ndarray:
 
 
 def compute_mim(bv: BVImage | np.ndarray,
-                config: LogGaborConfig | None = None,
-                precision: str = "float64") -> MIMResult:
+                config: LogGaborConfig | None = None) -> MIMResult:
     """Compute the Maximum Index Map of a BV image (Eq. 9-10).
 
     Args:
         bv: a :class:`BVImage` or a raw square float image.
         config: Log-Gabor bank configuration; defaults to the paper's
             ``N_s = 4, N_o = 12``.
-        precision: ``"float64"`` (default, byte-identical reference
-            behavior) or ``"float32"`` (the opt-in single-precision
-            stage-1 path: single-precision forward transforms and
-            float32 amplitude maps).
 
     Returns:
         A :class:`MIMResult`.
@@ -129,12 +116,12 @@ def compute_mim(bv: BVImage | np.ndarray,
         bv.image if isinstance(bv, BVImage) else np.asarray(bv, dtype=float))
     config = config or LogGaborConfig()
     bank = _get_bank(image.shape[0], config)
-    amplitude = bank.orientation_amplitude_sum(image, precision=precision)
-    return _winner_sweep(amplitude, config.num_orientations, precision)
+    amplitude = bank.orientation_amplitude_sum(image)
+    return _winner_sweep(amplitude, config.num_orientations)
 
 
-def compute_mim_batch(bvs, config: LogGaborConfig | None = None,
-                      precision: str = "float64") -> list[MIMResult]:
+def compute_mim_batch(bvs, config: LogGaborConfig | None = None
+                      ) -> list[MIMResult]:
     """Compute MIMs for a batch of same-sized BV images in one bank pass.
 
     The batched bank streams every frequency window and scratch buffer
@@ -148,7 +135,6 @@ def compute_mim_batch(bvs, config: LogGaborConfig | None = None,
         bvs: a sequence of :class:`BVImage` / square float arrays (all
             the same size), or a ``(B, H, H)`` stack.
         config: Log-Gabor bank configuration.
-        precision: as for :func:`compute_mim`.
 
     Returns:
         One :class:`MIMResult` per input image, in order.
@@ -167,7 +153,6 @@ def compute_mim_batch(bvs, config: LogGaborConfig | None = None,
                 f"{[im.shape for im in images]}")
     config = config or LogGaborConfig()
     bank = _get_bank(size, config)
-    amplitudes = bank.orientation_amplitude_sums(np.stack(images),
-                                                 precision=precision)
-    return [_winner_sweep(amplitudes[b], config.num_orientations, precision)
+    amplitudes = bank.orientation_amplitude_sums(np.stack(images))
+    return [_winner_sweep(amplitudes[b], config.num_orientations)
             for b in range(len(images))]

@@ -7,7 +7,6 @@ and :mod:`repro.core.box_alignment` stage 2 (bounding-box refinement).
 
 from repro.core.box_alignment import BoxAligner, BoxAlignment
 from repro.core.bv_matching import BVFeatures, BVMatch, BVMatcher
-from repro.core.confidence import ConfidenceModel, fit_confidence_model
 from repro.core.config import (
     BBAlignConfig,
     BoxAlignConfig,
@@ -36,7 +35,6 @@ __all__ = [
     "BoxAlignConfig",
     "BoxAligner",
     "BoxAlignment",
-    "ConfidenceModel",
     "DegradationLevel",
     "FailureReason",
     "StageDiagnostics",
@@ -47,5 +45,4 @@ __all__ = [
     "SuccessCriteria",
     "TrackedPose",
     "TrackerConfig",
-    "fit_confidence_model",
 ]

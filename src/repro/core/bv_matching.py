@@ -226,8 +226,7 @@ class BVMatcher:
         window = self._roi_window(bv_image, prior)
         image = self._roi_crop(bv_image, window)
         with timer("bv_extract/mim"):
-            mim = compute_mim(image, self.config.log_gabor,
-                              precision=self.config.stage1_precision)
+            mim = compute_mim(image, self.config.log_gabor)
         return self._finish_extract(bv_image, image, mim, window, timer)
 
     def extract_pair(self, bv_a: BVImage, bv_b: BVImage,
@@ -255,9 +254,8 @@ class BVMatcher:
         image_a = self._roi_crop(bv_a, window_a)
         image_b = self._roi_crop(bv_b, window_b)
         with timer("bv_extract/mim"):
-            mims = compute_mim_batch(
-                (image_a, image_b), self.config.log_gabor,
-                precision=self.config.stage1_precision)
+            mims = compute_mim_batch((image_a, image_b),
+                                     self.config.log_gabor)
         return (self._finish_extract(bv_a, image_a, mims[0], window_a, timer),
                 self._finish_extract(bv_b, image_b, mims[1], window_b, timer))
 

@@ -10,7 +10,6 @@ threshold ``Inliers_bv > 12`` re-derived via the Fig. 9 analysis).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.bev.log_gabor import LogGaborConfig
@@ -20,24 +19,7 @@ from repro.features.descriptors import BvftConfig
 from repro.features.fast import FastConfig
 
 __all__ = ["BVImageConfig", "BVMatchRansacConfig", "BoxAlignConfig",
-           "SuccessCriteria", "BBAlignConfig", "STAGE1_PRECISIONS"]
-
-# The two supported stage-1 numeric precisions ("Stage1Precision"):
-# "float64" is the byte-identical reference path; "float32" is the
-# opt-in single-precision fast path, validated by tolerance and pose
-# agreement rather than byte identity (see CONTRIBUTING.md).
-STAGE1_PRECISIONS = ("float64", "float32")
-
-
-def _default_stage1_precision() -> str:
-    """Default stage-1 precision, overridable via the environment.
-
-    ``REPRO_STAGE1_PRECISION=float32`` flips every default-constructed
-    configuration in the process to the single-precision path — this is
-    how CI runs the whole tier-1 suite in float32.  Explicitly
-    constructed configs are unaffected.
-    """
-    return os.environ.get("REPRO_STAGE1_PRECISION", "float64")
+           "SuccessCriteria", "BBAlignConfig"]
 
 
 @dataclass(frozen=True)
@@ -149,12 +131,6 @@ class BBAlignConfig:
     overlap window predicted by a coarse translation prior before the
     filter bank — see :mod:`repro.bev.roi`); off by default, and only
     active when a prior is actually supplied to extraction.
-
-    ``stage1_precision`` selects the stage-1 numeric path: ``"float64"``
-    (default; byte-identical to the ``_reference_*`` twins) or
-    ``"float32"`` (opt-in single-precision MIM/descriptor/matching
-    path, validated by tolerance + pose agreement).  The default honors
-    the ``REPRO_STAGE1_PRECISION`` environment variable.
     """
 
     bv_image: BVImageConfig = field(default_factory=BVImageConfig)
@@ -171,7 +147,6 @@ class BBAlignConfig:
     roi: RoiCullConfig = field(default_factory=RoiCullConfig)
     enable_box_alignment: bool = True
     keypoint_detector: str = "fast"
-    stage1_precision: str = field(default_factory=_default_stage1_precision)
     random_seed: int | None = 0
 
     def __post_init__(self) -> None:
@@ -180,7 +155,3 @@ class BBAlignConfig:
             raise ValueError(
                 "keypoint_detector must be 'fast', 'harris' or "
                 "'phase_congruency'")
-        if self.stage1_precision not in STAGE1_PRECISIONS:
-            raise ValueError(
-                f"stage1_precision must be one of {STAGE1_PRECISIONS}, "
-                f"got {self.stage1_precision!r}")

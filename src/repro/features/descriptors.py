@@ -189,15 +189,10 @@ class BvftDescriptorExtractor:
         mim = np.pad(mim_result.mim, pad, mode="constant",
                      constant_values=_INVALID)
         valid = mim_result.valid_mask()
-        # Descriptors follow the MIM amplitude precision: a float32 MIM
-        # (stage1_precision="float32") yields float32 descriptors.
-        out_dtype = (np.float32
-                     if mim_result.max_amplitude.dtype == np.float32
-                     else np.float64)
         if cfg.amplitude_weighting:
             weights_img = mim_result.max_amplitude * valid
         else:
-            weights_img = valid.astype(out_dtype)
+            weights_img = valid.astype(np.float64)
         weights = np.pad(weights_img, pad, mode="constant",
                          constant_values=0.0)
 
@@ -286,12 +281,8 @@ class BvftDescriptorExtractor:
             sign_shift = 8 * y.dtype.itemsize - 1
             y += np.right_shift(y, sign_shift) & y.dtype.type(n_orient)
             flat_bins = hist_base[:nb] + y
-            # np.bincount always accumulates in float64; the cast is a
-            # no-op on the float64 path (byte-identical) and lands the
-            # float32 path on float32 rows before normalization.
             hist = np.bincount(flat_bins.ravel(), weights=w.ravel(),
                                minlength=nb * dim).reshape(nb, dim)
-            hist = hist.astype(out_dtype, copy=False)
 
             norms = np.linalg.norm(hist, axis=1)
             keep &= norms > 0

@@ -116,17 +116,16 @@ def extraction_fingerprint(config: BBAlignConfig) -> tuple:
     """Identity of everything that influences extracted BV features.
 
     Stage-1 extraction reads the projection, Log-Gabor, keypoint and
-    descriptor settings, the numeric precision, and the ROI-culling
-    parameters (the crop window itself derives from the pair's
-    deterministic prior, so the configuration suffices); RANSAC, stage-2
-    and success parameters do not affect the features, so configurations
-    differing only there share a fingerprint (and hence cache entries).
+    descriptor settings and the ROI-culling parameters (the crop window
+    itself derives from the pair's deterministic prior, so the
+    configuration suffices); RANSAC, stage-2 and success parameters do
+    not affect the features, so configurations differing only there
+    share a fingerprint (and hence cache entries).
     Frozen-dataclass ``repr`` is deterministic and covers every field.
     """
     return (repr(config.bv_image), repr(config.log_gabor),
             config.keypoint_detector, repr(config.fast),
-            repr(config.descriptor), repr(config.roi),
-            config.stage1_precision)
+            repr(config.descriptor), repr(config.roi))
 
 
 def dataset_fingerprint(config: DatasetConfig) -> tuple:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.bev.mim import compute_mim
+from repro.bev.roi import RoiCullConfig
 from repro.core.bv_matching import BVMatcher
 from repro.core.config import BBAlignConfig, BVMatchRansacConfig
+from repro.experiments.common import default_dataset
 from repro.geometry.se2 import SE2
 from repro.pointcloud.cloud import PointCloud
 
@@ -32,6 +35,11 @@ def structured_world(rng):
 @pytest.fixture(scope="module")
 def world_points():
     return structured_world(np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def sample_pair():
+    return default_dataset(1, 2024)[0].pair
 
 
 def clouds_for(world, relative: SE2):
@@ -111,3 +119,31 @@ class TestBVFeaturesFlip:
         # Exact pixel permutation: same multiset of values.
         assert (np.sort(flipped.mim.mim.ravel())
                 == np.sort(features.mim.mim.ravel())).all()
+
+
+class TestExtractionDtypes:
+    def test_mim_and_descriptors_are_float64(self, sample_pair):
+        matcher = BVMatcher(BBAlignConfig())
+        bv = matcher.make_bv_image(sample_pair.ego_cloud)
+        assert compute_mim(bv).max_amplitude.dtype == np.float64
+        features = matcher.extract(bv)
+        assert features.descriptors.descriptors.dtype == np.float64
+
+
+class TestPairSingleIdentity:
+    @pytest.mark.parametrize("roi", [False, True])
+    def test_extract_pair_matches_two_singles(self, sample_pair, roi):
+        matcher = BVMatcher(BBAlignConfig(roi=RoiCullConfig(enabled=roi)))
+        bv_a = matcher.make_bv_image(sample_pair.ego_cloud)
+        bv_b = matcher.make_bv_image(sample_pair.other_cloud)
+        gt = sample_pair.gt_relative
+        priors = (gt.translation, gt.inverse().translation)
+        fa, fb = matcher.extract_pair(bv_a, bv_b, priors=priors)
+        sa = matcher.extract(bv_a, prior=priors[0])
+        sb = matcher.extract(bv_b, prior=priors[1])
+        for pair_f, single_f in ((fa, sa), (fb, sb)):
+            assert np.array_equal(pair_f.keypoints.xy, single_f.keypoints.xy)
+            assert np.array_equal(pair_f.descriptors.descriptors,
+                                  single_f.descriptors.descriptors)
+            assert np.array_equal(pair_f.descriptors.keypoint_indices,
+                                  single_f.descriptors.keypoint_indices)
