@@ -14,8 +14,12 @@ produces outputs bitwise-identical to per-slice transforms (asserted by
 of a pair through one pass without perturbing the byte-identical
 float64 contract.
 
-Transforms run with SciPy's default single-threaded plan: sweep, fleet
-and service parallelism already saturate cores at the process level.
+Transforms run with SciPy's default single-threaded plan; parallelism
+lives above the kernels.  The sweep and the service keep one pool
+worker per core, and the fleet path (one process) runs its per-vehicle
+extractions and pairwise edges on the calling thread plus one helper
+thread (:mod:`repro.runtime.helper`).  pocketfft releases the GIL, so
+the two threads' transforms overlap.
 """
 
 from __future__ import annotations

@@ -31,10 +31,13 @@ Performance notes (the stage-1 hot path runs this on every frame):
   ``numpy.fft`` on this workload — falling back to ``numpy.fft``).
 * The bank owns its **scratch workspace**: the per-scale scaled spectra,
   the product buffer and the magnitude temporary are allocated once per
-  batch size and reused across every image of a sweep
+  batch size *and thread* and reused across every image of a sweep
   (:meth:`LogGaborBank._workspace`), so the hot loop performs no
   per-call allocations beyond the returned sums and the backend's
-  inverse-transform outputs.
+  inverse-transform outputs.  Per thread because banks are shared
+  (:func:`repro.bev.mim.compute_mim` caches one per image size) and the
+  fleet path extracts on two threads at once: one shared scratch would
+  let each thread overwrite the other's products mid-pass.
 * :meth:`LogGaborBank.orientation_amplitude_sums` accepts a ``(B, H, W)``
   **batch** — both cars of a pair go through the bank in one pass, so
   windows and scratch are streamed once per pair instead of once per
@@ -69,6 +72,7 @@ bitwise equality.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +174,9 @@ class LogGaborBank:
             [_pack_window(r) for r in self._radial])
         self._angular_packed = np.stack(
             [_pack_window(a) for a in self._angular])
-        # Reusable scratch buffers keyed by batch size (see _workspace).
-        self._scratch: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] \
-            = {}
+        # Reusable scratch buffers, per thread and batch size (see
+        # _workspace).
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     def _frequency_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +267,17 @@ class LogGaborBank:
 
         Returns ``(scaled, product, magnitude)``: the per-scale scaled
         spectra ``(N_s, B, H, 2W)``, the complex product buffer
-        ``(B, H, W)`` and the magnitude temporary ``(B, H, W)``.  A sweep
-        touches one or two batch sizes (single images and pairs), so the
-        dict stays tiny; it is cleared wholesale if it ever grows past a
-        handful of entries to bound memory.
+        ``(B, H, W)`` and the magnitude temporary ``(B, H, W)``.  Each
+        thread gets its own buffers, so concurrent callers of one bank
+        never share scratch.  A sweep touches one or two batch sizes
+        (single images and pairs), so a thread's dict stays tiny; it is
+        cleared wholesale if it ever grows past a handful of entries to
+        bound memory.
         """
-        workspace = self._scratch.get(batch)
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = {}
+        workspace = scratch.get(batch)
         if workspace is None:
             cfg = self.config
             scaled = np.empty(
@@ -278,9 +287,9 @@ class LogGaborBank:
                                dtype=np.complex64)
             magnitude = np.empty((batch, self.size, self.size),
                                  dtype=np.float32)
-            if len(self._scratch) >= 4:
-                self._scratch.clear()
-            workspace = self._scratch[batch] = (scaled, product, magnitude)
+            if len(scratch) >= 4:
+                scratch.clear()
+            workspace = scratch[batch] = (scaled, product, magnitude)
         return workspace
 
     def orientation_amplitude_sum(self, image: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ keypoint description possible at all (Fig. 4 of the paper).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -24,21 +25,25 @@ __all__ = ["MIMResult", "compute_mim", "compute_mim_batch"]
 # LRU: multi-size studies (submap/bandwidth sweeps) cycle through more
 # than one key per frame pair, and evicting *everything* on overflow (as
 # an earlier revision did) made them rebuild banks every frame.
+# The lock makes the LRU safe for threads sharing the cache (the fleet
+# path's helper thread); banks themselves are safe to share.
 _BANK_CACHE: OrderedDict[tuple, LogGaborBank] = OrderedDict()
 _BANK_CACHE_CAPACITY = 8
+_BANK_CACHE_LOCK = threading.Lock()
 
 
 def _get_bank(size: int, config: LogGaborConfig) -> LogGaborBank:
     key = (size, config)
-    bank = _BANK_CACHE.get(key)
-    if bank is not None:
-        _BANK_CACHE.move_to_end(key)
+    with _BANK_CACHE_LOCK:
+        bank = _BANK_CACHE.get(key)
+        if bank is not None:
+            _BANK_CACHE.move_to_end(key)
+            return bank
+        bank = LogGaborBank(size, config)
+        _BANK_CACHE[key] = bank
+        while len(_BANK_CACHE) > _BANK_CACHE_CAPACITY:  # bound memory
+            _BANK_CACHE.popitem(last=False)
         return bank
-    bank = LogGaborBank(size, config)
-    _BANK_CACHE[key] = bank
-    while len(_BANK_CACHE) > _BANK_CACHE_CAPACITY:  # bound memory
-        _BANK_CACHE.popitem(last=False)
-    return bank
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,28 @@ default), and fuses the successful edges.  An *incremental* mode
 only re-solves connected components whose edges changed — on an
 unchanged graph the fused poses are returned without running a single
 Gauss-Newton iteration, bit-identical to a full solve.
+
+**Two threads.**  Extraction and the edge recoveries are independent
+items whose kernels run mostly with the GIL released, so both phases go
+through :func:`repro.runtime.helper.shared_map`: the calling thread plus
+one helper thread where the process has a spare core.  The output is
+byte-identical to a serial run.  Extraction is a pure function and
+every edge draws its own RANSAC stream; the feature cache is read and
+written on the calling thread only; and the one order-dependent piece
+of state, the aligner's last-good fallback pose, is settled on the
+calling thread in candidate order after the edges return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
 from repro.core.bv_matching import BVFeatures
 from repro.core.config import BBAlignConfig
+from repro.core.degradation import FailureReason, StageDiagnostics
 from repro.core.pipeline import BBAlign
 from repro.core.pose_graph import (
     CycleGateResult,
@@ -48,7 +60,10 @@ from repro.core.pose_graph import (
 )
 from repro.core.result import PoseRecoveryResult
 from repro.geometry.se2 import SE2
+from repro.obs.spans import span
+from repro.pointcloud.cloud import PointCloud
 from repro.runtime.cache import FeatureCache, extraction_fingerprint
+from repro.runtime.helper import shared_map
 
 __all__ = ["MultiAlignment", "MultiVehicleAligner"]
 
@@ -89,8 +104,41 @@ PoseGraphSolution` (component gauges; feed it back for incremental
         return sum(p is not None for p in self.poses)
 
 
+class _DeferredFallback(Exception):
+    """An edge that fell to the ladder's bottom rungs, unresolved.
+
+    Carries :meth:`BBAlign._degraded_result`'s arguments: its fallback
+    pose is the last one that succeeded *before it in candidate order*,
+    which only the calling thread knows once every edge has returned.
+    """
+
+
+class _EdgeAligner(BBAlign):
+    """The fleet's aligner as seen by edges running on two threads.
+
+    Shares the wrapped aligner's configuration and matchers.  Degraded
+    results raise :class:`_DeferredFallback` instead of reading the
+    fallback memory, and the ``_last_good`` this view writes on success
+    is never read; :meth:`MultiVehicleAligner.align` settles both on
+    the real aligner in candidate order.
+    """
+
+    def __init__(self, aligner: BBAlign) -> None:
+        self.__dict__.update(vars(aligner))
+
+    def _degraded_result(self, reason: FailureReason,
+                         diagnostics: StageDiagnostics,
+                         message_bytes: int = 0) -> NoReturn:
+        raise _DeferredFallback(reason, diagnostics, message_bytes)
+
+
 class MultiVehicleAligner:
-    """Pairwise BB-Align + cycle-gated robust pose-graph fusion."""
+    """Pairwise BB-Align + cycle-gated robust pose-graph fusion.
+
+    :meth:`align` may run its extractions and edges on a helper thread
+    as well as the calling thread (see the module docstring); one
+    instance must not be used by two calling threads at once.
+    """
 
     def __init__(self, config: BBAlignConfig | None = None,
                  graph: PoseGraphConfig | None = None) -> None:
@@ -118,20 +166,30 @@ class MultiVehicleAligner:
         incident edges of a vehicle share one extraction, and repeated
         scenes (worker processes revisiting a frame, incremental
         re-alignment of an unchanged fleet) skip extraction entirely.
+        The cache is read and written on the calling thread, in vehicle
+        order; only the misses are extracted, on both threads.
         """
+        vehicles = list(enumerate(clouds))
         if cache is None or scene_key is None:
-            return [self.aligner.extract_features(cloud)
-                    for cloud in clouds]
+            return shared_map(self._extract, vehicles)
         extraction_fp = extraction_fingerprint(self.aligner.config)
+        keys = [(scene_key, index, "multi", extraction_fp)
+                for index, _ in vehicles]
+        hits = [cache.get(key) for key in keys]
+        extracted = iter(shared_map(self._extract, [
+            vehicle for vehicle, hit in zip(vehicles, hits) if hit is None]))
         features: list[BVFeatures] = []
-        for index, cloud in enumerate(clouds):
-            key = (scene_key, index, "multi", extraction_fp)
-            cached = cache.get(key)
-            if cached is None:
-                cached = self.aligner.extract_features(cloud)
-                cache.put(key, cached)
-            features.append(cached)
+        for key, hit in zip(keys, hits):
+            if hit is None:
+                hit = next(extracted)
+                cache.put(key, hit)
+            features.append(hit)
         return features
+
+    def _extract(self, vehicle: tuple[int, PointCloud]) -> BVFeatures:
+        index, cloud = vehicle
+        with span("multi/extract", vehicle=index):
+            return self.aligner.extract_features(cloud)
 
     @staticmethod
     def _normalize_pairs(k: int, pairs) -> list[tuple[int, int]]:
@@ -193,13 +251,31 @@ solve_incremental`).
         # connectivity graph replays the exact streams the full graph
         # would hand the same pairs.
         root = int(rng.integers(0, 2 ** 31))
+        edge_aligner = _EdgeAligner(self.aligner)
+
+        def recover(pair: tuple[int, int]
+                    ) -> PoseRecoveryResult | Exception:
+            i, j = pair
+            with span("multi/edge", target=i, source=j):
+                try:
+                    return edge_aligner.recover(
+                        features[i], features[j],
+                        boxes_per_vehicle[i], boxes_per_vehicle[j],
+                        rng=np.random.default_rng([root, i, j]))
+                except Exception as error:  # settled in candidate order
+                    return error
+
+        outcomes = shared_map(recover, candidate_pairs)
         recoveries: dict[tuple[int, int], PoseRecoveryResult] = {}
         measured: list[PoseGraphEdge] = []
-        for i, j in candidate_pairs:
-            result = self.aligner.recover(
-                features[i], features[j],
-                boxes_per_vehicle[i], boxes_per_vehicle[j],
-                rng=np.random.default_rng([root, i, j]))
+        for (i, j), result in zip(candidate_pairs, outcomes):
+            # What a serial loop does to the fallback memory, in order.
+            if isinstance(result, _DeferredFallback):
+                result = self.aligner._degraded_result(*result.args)
+            elif isinstance(result, Exception):
+                raise result
+            elif result.success:
+                self.aligner._last_good = result.transform
             recoveries[(i, j)] = result
             if result.success:
                 weight = float(result.inliers_bv + result.inliers_box)

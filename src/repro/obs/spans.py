@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import os
 import time
 from typing import Any, Iterator
@@ -80,11 +81,12 @@ class TraceCollector:
     def __init__(self, root_parent: str | None = None) -> None:
         self.events: list[dict] = []
         self.root_parent = root_parent
-        self._sequence = 0
+        # ``next`` on a C counter is atomic under the GIL, so threads
+        # sharing the collector never draw the same id.
+        self._sequence = itertools.count(1)
 
     def next_span_id(self) -> str:
-        self._sequence += 1
-        return f"{os.getpid()}:{self._sequence}"
+        return f"{os.getpid()}:{next(self._sequence)}"
 
     def emit(self, event: dict) -> None:
         """Append an already-finished event (engine chunk re-emission)."""

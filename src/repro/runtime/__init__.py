@@ -13,6 +13,9 @@ reproduction; this package makes it a schedulable, measurable unit:
   signal hygiene (inherited wakeup fds and handlers are detached so a
   pool worker's death can never echo a signal back into the parent's
   event loop);
+* :mod:`repro.runtime.helper` — :func:`~repro.runtime.helper.shared_map`,
+  an in-process map on the calling thread plus one helper thread, which
+  gives the fleet path a second core outside the pools;
 * :mod:`repro.runtime.retry` — :class:`RetryPolicy`, the seeded
   jittered-exponential-backoff schedule shared by the engine's chunk
   ladder and the service's batch ladder;

@@ -20,7 +20,11 @@ problem so the two callers share one implementation:
   probe), and ``kill_workers=True`` on restart SIGKILLs survivors so a
   hung worker cannot outlive the pool that abandoned it;
 * **idempotent shutdown** — :meth:`shutdown` is safe to call twice and
-  from ``atexit``.
+  from ``atexit``;
+* **worker identity** — every worker marks itself at start-up
+  (:func:`in_pool_worker`): the pool already owns the host's cores, so
+  in-process helper threads (:mod:`repro.runtime.helper`) stay off
+  inside it.
 
 The sweep engine keeps its module-global pool (worker processes retain
 feature caches across sweeps) but delegates the mechanics here; the
@@ -34,7 +38,16 @@ import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
-__all__ = ["PoolUnavailableError", "WorkerPool", "resolve_workers"]
+__all__ = ["PoolUnavailableError", "WorkerPool", "in_pool_worker",
+           "resolve_workers"]
+
+# True in every process started by a WorkerPool (set by the initializer).
+_IN_POOL_WORKER = False
+
+
+def in_pool_worker() -> bool:
+    """Whether this process is a :class:`WorkerPool` worker."""
+    return _IN_POOL_WORKER
 
 
 def _pool_worker_init(extra: Callable[..., None] | None,
@@ -49,7 +62,10 @@ def _pool_worker_init(extra: Callable[..., None] | None,
     and the parent's loop would run the parent's own SIGTERM handler: a
     phantom shutdown of a process nobody signalled.  Resetting both in
     the child confines signals to the process they were sent to.
+    The worker also marks itself (:func:`in_pool_worker`).
     """
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
     try:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # non-main thread / closed fd

@@ -31,13 +31,13 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import time
-from typing import Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry, active_registry, use_registry
 from repro.obs.spans import active_collector, span as obs_span
 
-__all__ = ["STAGES", "SweepTimings", "stage", "collect_timings",
-           "active_timings", "use_timings"]
+__all__ = ["STAGES", "ChildTelemetry", "SweepTimings", "stage",
+           "collect_timings", "active_timings", "use_timings"]
 
 # Canonical stage order, matching the sweep's per-pair flow.
 STAGES: tuple[str, ...] = (
@@ -390,3 +390,49 @@ def collect_timings() -> Iterator[SweepTimings]:
         # superset and would double-count).
         if timings.wall_seconds == 0.0:
             timings.wall_seconds = time.perf_counter() - start
+
+
+class ChildTelemetry:
+    """The caller's ambient telemetry, re-rooted for a helper thread.
+
+    Build it on the calling thread.  :meth:`run` executes a function on
+    the helper thread, inside a :func:`contextvars.copy_context` copy of
+    the caller's context, with the ambient timings and registry pointed
+    at fresh children: the two threads never update one instrument,
+    which matters because ``Counter.inc`` is a plain ``+=``.  After the
+    join, :meth:`merge` (on the caller) folds the children in exactly
+    once, with the same semantics as a pool chunk's snapshot.  Spans
+    need nothing here: the copied context carries the caller's trace
+    collector and current span, so helper spans nest under it.
+    """
+
+    def __init__(self) -> None:
+        timings, registry = _ACTIVE.get(), active_registry()
+        self._timings, self._registry = timings, registry
+        self._child_timings = SweepTimings() if timings is not None else None
+        self._child_registry: MetricsRegistry | None = None
+        if registry is not None:
+            self._child_registry = (
+                self._child_timings.registry
+                if self._child_timings is not None
+                and timings is not None and registry is timings.registry
+                else MetricsRegistry())
+
+    def run(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` with the children installed (helper thread)."""
+        token = _ACTIVE.set(self._child_timings)
+        try:
+            with (use_registry(self._child_registry)
+                  if self._child_registry is not None
+                  else contextlib.nullcontext()):
+                return fn(*args)
+        finally:
+            _ACTIVE.reset(token)
+
+    def merge(self) -> None:
+        """Fold the children into the caller's telemetry (after join)."""
+        if self._registry is not None and self._child_registry is not None:
+            self._registry.merge(self._child_registry)
+        if self._timings is not None and self._child_timings is not None \
+                and self._child_timings.registry is not self._child_registry:
+            self._timings.registry.merge(self._child_timings.registry)

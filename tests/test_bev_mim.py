@@ -85,3 +85,45 @@ class TestComputeMim:
         a = compute_mim(bv)
         b = compute_mim(bv)
         np.testing.assert_array_equal(a.mim, b.mim)
+
+
+class TestConcurrentCallers:
+    def test_threads_share_a_bank_bit_identically(self):
+        """Threads computing MIMs through one cached bank must get
+        exactly the serial MIMs: each thread has its own scratch, so
+        none overwrites another's products mid-pass."""
+        import sys
+        import threading
+
+        rng = np.random.default_rng(7)
+        images = [rng.random((128, 128)) for _ in range(4)]
+        expected = [compute_mim(image) for image in images]
+        orders = ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2])
+        barrier = threading.Barrier(len(orders))
+        wrong: list[int] = []
+
+        def work(order):
+            barrier.wait()
+            for _ in range(5):
+                for index in order:
+                    got = compute_mim(images[index])
+                    same = (np.array_equal(got.mim, expected[index].mim)
+                            and np.array_equal(
+                                got.total_amplitude,
+                                expected[index].total_amplitude))
+                    if not same:
+                        wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(order,))
+                       for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
